@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <set>
@@ -93,11 +94,24 @@ struct Parser {
   bool parse_duration(int line, const std::string& value, Duration* dst) {
     double tu = 0.0;
     if (!parse_double(line, value, &tu)) return false;
+    if (!std::isfinite(tu)) {
+      error(line, "durations must be finite, got '" + trim(value) + "'");
+      return false;
+    }
     if (tu < 0.0) {
       error(line, "durations must be non-negative");
       return false;
     }
-    *dst = Duration::from_tu(tu);
+    const auto checked = Duration::checked_from_tu(tu);
+    if (!checked.has_value()) {
+      error(line, "duration '" + trim(value) +
+                      "' is beyond the largest representable time (" +
+                      std::to_string(Duration::infinite().count() /
+                                     Duration::kTicksPerTimeUnit) +
+                      " tu)");
+      return false;
+    }
+    *dst = *checked;
     return true;
   }
 

@@ -25,9 +25,10 @@
 //                            ambient randomness, no iteration over
 //                            unordered containers (rules det-random /
 //                            det-clock / det-unordered-iter).
-//   TSF_BARRIER_ONLY         The epoch-boundary completion-step world of
-//                            mp/threaded_runtime: runs on one thread while
-//                            every worker is parked at the barrier. Must
+//   TSF_BARRIER_ONLY         The epoch-boundary world of mp/multi_vm: runs
+//                            on one thread while every core is paused (on
+//                            the threads executor, while every worker is
+//                            parked at the barrier). Must
 //                            never be reachable from TSF_WORKER_PHASE code
 //                            (rule phase-order).
 //   TSF_WORKER_PHASE         Code running concurrently inside a core's
@@ -35,7 +36,8 @@
 //                            walks the call graph from every worker-phase
 //                            root; reaching a barrier-only function is a
 //                            phase-order violation unless the edge is in
-//                            the reviewed allowlist (tools/tsf_lint.allow).
+//                            the reviewed allowlist (tools/tsf_lint.allow,
+//                            currently empty).
 //
 // Deliberate exceptions are written next to the offending line as
 //

@@ -11,6 +11,15 @@ Duration Duration::from_tu(double tu) {
       std::llround(tu * static_cast<double>(kTicksPerTimeUnit))));
 }
 
+std::optional<Duration> Duration::checked_from_tu(double tu) {
+  const double ticks = tu * static_cast<double>(kTicksPerTimeUnit);
+  if (!std::isfinite(ticks) ||
+      std::fabs(ticks) >= static_cast<double>(infinite().count())) {
+    return std::nullopt;
+  }
+  return from_tu(tu);
+}
+
 namespace {
 
 std::string format_ticks_as_tu(std::int64_t t) {

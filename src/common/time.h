@@ -10,6 +10,7 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 namespace tsf::common {
@@ -27,7 +28,11 @@ class Duration {
     return Duration(tu * kTicksPerTimeUnit);
   }
   // Rounds to the nearest tick (used at the generator/reporting boundary).
+  // `tu` must be finite and in range; see checked_from_tu.
   static Duration from_tu(double tu);
+  // from_tu for untrusted input (spec files): nullopt unless `tu` is finite
+  // and rounds to a tick count strictly between -infinite() and infinite().
+  static std::optional<Duration> checked_from_tu(double tu);
 
   constexpr std::int64_t count() const { return ticks_; }
   double to_tu() const {

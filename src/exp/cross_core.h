@@ -150,6 +150,10 @@ class CoreEndpoint {
   virtual common::Duration released_cost() const {
     return common::Duration::zero();
   }
+  // Summed utilization of the periodic tasks this core runs, including
+  // tasks admitted online by admit_task — the static side of the measured
+  // load every mp::LoadMeter adds the offered aperiodic rate to.
+  virtual double periodic_utilization() const { return 0.0; }
   // Online admission of a periodic task the offline partitioner rejected
   // (rebalance = admit): builds the task's thread on this core and starts
   // it. The task's `start` must be at or after the core's current virtual

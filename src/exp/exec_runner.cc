@@ -156,6 +156,7 @@ ExecSystem::~ExecSystem() = default;
 
 rtsj::RealtimeThread* ExecSystem::build_task(
     const model::PeriodicTaskSpec& t) {
+  periodic_util_ += t.utilization();
   threads_.push_back(std::make_unique<rtsj::RealtimeThread>(
       vm_, t.name, rtsj::PriorityParameters(t.priority),
       rtsj::PeriodicParameters(t.start, t.period, t.cost, t.deadline),

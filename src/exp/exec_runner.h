@@ -83,7 +83,7 @@ model::RunResult run_exec(const model::SystemSpec& spec,
 
 // One spec lowered onto one VM, with the run loop left to the caller — the
 // building block behind run_exec and the per-core worlds of mp::MultiVm
-// (which advances several VMs in lock-step). Lifecycle:
+// (which advances several VMs to common epoch boundaries). Lifecycle:
 //
 //     rtsj::vm::VirtualMachine vm(options.kernel);
 //     ExecSystem system(vm, spec, options);   // builds server/threads/timers
@@ -102,8 +102,8 @@ model::RunResult run_exec(const model::SystemSpec& spec,
 //
 // Threading contract (backend = threads): completion posting through `port`
 // happens mid-epoch, concurrently with other cores' worlds — the port
-// implementation must be thread-safe (mp::ThreadedRuntime hands each core a
-// port staging into a lock-free MPSC mailbox). Every CoreEndpoint method,
+// implementation must be thread-safe (mp::MultiVm hands each core a port
+// staging into a lock-free MPSC mailbox). Every CoreEndpoint method,
 // by contrast, is only ever invoked at an epoch boundary while all workers
 // are synchronized at the barrier, so the endpoint itself needs no locks.
 class ExecSystem : public CoreEndpoint {
@@ -140,6 +140,7 @@ class ExecSystem : public CoreEndpoint {
   std::optional<StolenJob> steal_exact(const std::string& job,
                                        common::TimePoint release) override;
   common::Duration released_cost() const override;
+  double periodic_utilization() const override { return periodic_util_; }
   TSF_BARRIER_ONLY
   bool admit_task(const model::PeriodicTaskSpec& task) override;
   TSF_BARRIER_ONLY
@@ -185,6 +186,7 @@ class ExecSystem : public CoreEndpoint {
   CrossCorePort* port_ = nullptr;
   std::unique_ptr<core::TaskServer> server_;
   std::vector<std::unique_ptr<rtsj::RealtimeThread>> threads_;
+  double periodic_util_ = 0.0;  // summed over threads_, in build order
   std::vector<std::unique_ptr<core::ServableAsyncEventHandler>> handlers_;
   std::vector<std::unique_ptr<core::ServableAsyncEvent>> events_;
   std::vector<std::unique_ptr<rtsj::OneShotTimer>> timers_;

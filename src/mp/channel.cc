@@ -27,36 +27,9 @@ std::vector<Mailbox::Message> Mailbox::take_due(TimePoint boundary) {
   return due;
 }
 
-struct ChannelFabric::PortImpl : exp::CrossCorePort {
-  PortImpl(ChannelFabric* fabric, std::size_t core)
-      : fabric(fabric), core(core) {}
-  // Worker-phase by contract (handlers fire mid-epoch), yet it reaches the
-  // barrier-only post_fire directly: under the lock-step backend exactly
-  // one VM runs at a time, so mid-epoch fabric writes are unracy. The
-  // threads backend swaps this port for ThreadedRuntime::StagedPort. This
-  // is the reviewed phase-order waiver in tools/tsf_lint.allow.
-  TSF_WORKER_PHASE
-  void fire_remote(const std::string& job, TimePoint now) override {
-    fabric->post_fire(core, job, now);
-  }
-  ChannelFabric* fabric;
-  std::size_t core;
-};
-
 ChannelFabric::ChannelFabric(std::size_t cores, ChannelConfig config)
     : config_(config), mailboxes_(cores), endpoints_(cores, nullptr) {
   TSF_ASSERT(cores > 0, "channel fabric needs at least one core");
-  ports_.reserve(cores);
-  for (std::size_t c = 0; c < cores; ++c) {
-    ports_.push_back(std::make_unique<PortImpl>(this, c));
-  }
-}
-
-ChannelFabric::~ChannelFabric() = default;
-
-exp::CrossCorePort* ChannelFabric::port(std::size_t core) {
-  TSF_ASSERT(core < ports_.size(), "port for core beyond the fabric");
-  return ports_[core].get();
 }
 
 void ChannelFabric::connect(std::size_t core, exp::CoreEndpoint* endpoint) {

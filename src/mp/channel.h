@@ -1,14 +1,15 @@
-// Cross-core event channels over the lock-step epochs of mp::MultiVm.
+// Cross-core event channels over the epoch boundaries of mp::MultiVm.
 //
 // Partitioned cores are deterministic silos; the only instants at which all
 // of them agree on "now" are the epoch boundaries MultiVm drives them to.
 // The ChannelFabric exploits exactly those instants: a handler on core A
-// posts a message (a remote ServableAsyncEvent fire, or a migrating
-// aperiodic job) into the target core's mailbox while its VM runs, and the
-// fabric drains every mailbox when all VMs are paused at the next boundary.
-// Because posts happen in core order within an epoch (MultiVm advances VMs
-// sequentially) and deliveries happen in (due-time, post-sequence) order,
-// multi-core runs with cross-core traffic stay bit-reproducible.
+// stages a message (a remote ServableAsyncEvent fire) while its VM runs;
+// at the next boundary, with every VM paused, MultiVm replays the staged
+// fires into the fabric in (core, per-core post) order (mp/mailbox.h) and
+// the fabric drains every mailbox. Migrating aperiodic jobs are registered
+// up front and released by the same drain. Because posts happen in core
+// order and deliveries in (due-time, post-sequence) order, multi-core runs
+// with cross-core traffic stay bit-reproducible on either executor.
 //
 // Two channel types:
 //  * remote fire — `fires = <job>` in the spec: at handler completion the
@@ -30,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -78,16 +78,13 @@ class Mailbox {
 class ChannelFabric {
  public:
   explicit ChannelFabric(std::size_t cores, ChannelConfig config = {});
-  ~ChannelFabric();
   ChannelFabric(const ChannelFabric&) = delete;
   ChannelFabric& operator=(const ChannelFabric&) = delete;
 
   std::size_t cores() const { return mailboxes_.size(); }
 
-  // --- wiring (done by MultiVm / mp::run before start) ---
+  // --- wiring (done by MultiVm before the run) ---
 
-  // The outbound port handed to core `core`'s ExecSystem.
-  exp::CrossCorePort* port(std::size_t core);
   // The inbound endpoint deliveries go to.
   void connect(std::size_t core, exp::CoreEndpoint* endpoint);
   // The connected endpoint (nullptr before connect) — the scheduling-policy
@@ -108,13 +105,11 @@ class ChannelFabric {
 
   // --- runtime ---
 
-  // Posts a remote fire (normally reached via port(core)). The target core
-  // comes from the routing table; an unbound name is recorded as a failed
-  // delivery immediately. Barrier-only: the fabric's containers are plain —
-  // under the threads backend, fires reach here via the staged-replay path
-  // (mp/mailbox.h), never directly from a worker. The lock-step backend's
-  // direct PortImpl -> post_fire call is the one reviewed exception (see
-  // tools/tsf_lint.allow).
+  // Posts a remote fire (normally MultiVm's staged-fire replay). The target
+  // core comes from the routing table; an unbound name is recorded as a
+  // failed delivery immediately. Barrier-only: the fabric's containers are
+  // plain, so fires reach here only through the staged replay at the
+  // boundary (mp/mailbox.h), never directly from a running core.
   TSF_BARRIER_ONLY
   void post_fire(std::size_t from_core, const std::string& job,
                  common::TimePoint posted);
@@ -149,8 +144,6 @@ class ChannelFabric {
   std::size_t least_loaded_serving_core() const;
 
  private:
-  struct PortImpl;
-
   struct PendingMigration {
     exp::MigratedJob job;
     common::TimePoint release;
@@ -162,7 +155,6 @@ class ChannelFabric {
 
   ChannelConfig config_;
   std::vector<Mailbox> mailboxes_;
-  std::vector<std::unique_ptr<PortImpl>> ports_;
   std::vector<exp::CoreEndpoint*> endpoints_;
   std::map<std::string, std::size_t> routes_;  // job name -> hosting core
   // Names that will be bound at run time (migratables, ready-pool jobs),

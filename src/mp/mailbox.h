@@ -1,21 +1,20 @@
-// Lock-free MPSC mailboxes for the real-threads execution backend.
+// Lock-free MPSC mailbox for the cross-core fires of mp::MultiVm.
 //
-// Under `backend = threads` every core's worker runs concurrently inside an
-// epoch, so a handler completing on core A cannot touch the ChannelFabric
-// directly (the fabric's routing table and mailboxes are plain containers,
-// and the lock-step delivery order would be lost anyway). Instead each
-// outbound fire is *staged*: pushed into one shared MpscQueue as a
-// StagedFire carrying its producing core and a per-producer sequence
-// number. The epoch-barrier coordinator — the single consumer — drains the
-// queue while every worker is parked at the barrier, sorts the batch into
-// replay order, and replays it through ChannelFabric::post_fire.
+// A handler completing on core A never touches the ChannelFabric directly:
+// the fabric's routing table and mailboxes are plain containers, and under
+// `backend = threads` every core's worker runs concurrently inside an
+// epoch. Instead each outbound fire is *staged*: pushed into one shared
+// MpscQueue as a StagedFire carrying its producing core and a per-producer
+// sequence number. MultiVm's boundary — the single consumer — drains the
+// queue while every core is paused (parked at the barrier, under threads),
+// sorts the batch into replay order, and replays it through
+// ChannelFabric::post_fire. Both executors stage the same way.
 //
-// Replay order is what makes the threads backend bit-reproducible against
-// the lock-step oracle: MultiVm advances VMs sequentially within an epoch,
-// so the fabric's global post order is exactly (core, per-core post order)
-// per epoch. Sorting an epoch's staged fires by (from_core, seq) therefore
-// reconstructs the oracle's post order no matter how the OS interleaved the
-// workers.
+// Replay order is what makes every backend bit-reproducible: the inline
+// executor advances the cores sequentially within an epoch, so the
+// per-epoch post order it defines is exactly (core, per-core post order).
+// Sorting an epoch's staged fires by (from_core, seq) reconstructs that
+// order no matter how the OS interleaved the threads executor's workers.
 //
 // The queue itself is Dmitry Vyukov's non-intrusive MPSC design: producers
 // exchange the head pointer (wait-free) and then publish the link; the
@@ -50,8 +49,8 @@ struct StagedFire {
   std::uint64_t seq = 0;
 };
 
-// Sorts an epoch's drained batch into the lock-step oracle's post order:
-// by producing core, then per-producer sequence.
+// Sorts an epoch's drained batch into replay order: by producing core, then
+// per-producer sequence.
 TSF_DETERMINISM_CRITICAL
 void sort_replay_order(std::vector<StagedFire>* batch);
 

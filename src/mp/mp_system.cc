@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "common/diag.h"
-#include "common/rng.h"
 #include "mp/channel.h"
 #include "mp/multi_vm.h"
 #include "mp/overload.h"
-#include "mp/threaded_runtime.h"
 #include "sim/simulator.h"
 
 namespace tsf::mp {
@@ -51,11 +48,7 @@ std::optional<RunEngine> parse_run_engine(std::string_view name) {
   return std::nullopt;
 }
 
-// Whether a job is handed to the global shared ready pool instead of any
-// core's static assignment: unpinned and released by time (a triggered job
-// has no release of its own — it stays with its routed core so the fire
-// has a resident event to hit).
-static bool pool_scheduled(const model::AperiodicJobSpec& job) {
+bool pool_scheduled(const model::AperiodicJobSpec& job) {
   return job.affinity < 0 && !job.triggered;
 }
 
@@ -264,101 +257,34 @@ MpRunResult run_sim(const model::SystemSpec& spec, Partition partition) {
 
 MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
                      const MpRunOptions& options) {
-  TSF_ASSERT(!spec.horizon.is_never(), "exec needs a finite horizon");
   MpRunResult out;
   out.partition = std::move(partition);
-  const auto subs = split_spec(spec, out.partition, options.policy);
-
-  ChannelConfig channel;
-  channel.latency = spec.channel_latency;
-  ChannelFabric fabric(subs.size(), channel);
-  SchedPolicyEngine engine(options.policy, fabric);
-  const bool global = options.policy == SchedPolicy::kGlobal;
-
-  // Jobs that bypass the static split — migratables under every policy,
-  // plus every unpinned untriggered job under global (they belong to the
-  // shared ready pool). Execution-time jitter is applied here, once, from
-  // the same seed the per-core systems use — deterministic in spec order.
-  common::Rng jitter_rng(options.exec.jitter_seed);
-  for (const auto& job : spec.aperiodic_jobs) {
-    const bool pooled = global && pool_scheduled(job);
-    if (!job.migrate && !pooled) continue;
-    exp::MigratedJob m;
-    m.name = job.name;
-    m.declared_cost = job.effective_declared_cost();
-    m.actual_cost = exp::jittered_cost(jitter_rng, options.exec, job.cost);
-    m.fires = job.fires;
-    m.value = job.value;
-    m.relative_deadline = job.relative_deadline;
-    if (pooled) {
-      // The pool is a shared structure, not a channel: no channel_latency,
-      // only the wait for the first epoch boundary >= release.
-      engine.add_pool_job(std::move(m), job.release);
-    } else {
-      fabric.add_migratable(std::move(m), job.release);
-    }
-  }
-
-  std::unique_ptr<Rebalancer> rebalancer;
-  if (options.rebalance.mode != RebalanceMode::kOff) {
-    rebalancer = std::make_unique<Rebalancer>(options.rebalance, fabric, spec,
-                                              out.partition, options.strategy);
-  }
-  // Mode kDover needs no governor — the per-core D-over queues shed and
-  // take over locally; their decisions surface through the same per-core
-  // shed_events ledger the fold below collects.
-  std::unique_ptr<OverloadGovernor> governor;
-  if (options.exec.overload.mode == exp::OverloadMode::kShed) {
-    governor = std::make_unique<OverloadGovernor>(options.exec.overload,
-                                                  fabric, spec, out.partition);
-  }
-
-  SchedPolicyEngine* engine_ptr =
-      options.policy == SchedPolicy::kPartitioned ? nullptr : &engine;
-  double threads_wall_seconds = 0.0;
-  if (options.backend == ExecBackend::kThreads) {
-    ThreadedRuntime machine(subs, options.exec, &fabric, engine_ptr,
-                            rebalancer.get(), governor.get());
-    for (std::size_t c = 0;
-         c < options.core_trace_sinks.size() && c < subs.size(); ++c) {
-      if (options.core_trace_sinks[c] != nullptr) {
-        machine.attach_trace_sink(c, options.core_trace_sinks[c]);
-      }
-    }
-    machine.set_metrics(options.metrics);
+  double wall_seconds = 0.0;
+  {
+    // Scoped: the per-core worlds are torn down before the merge.
+    MultiVm machine(spec, out.partition, options);
     machine.run(spec.horizon, options.quantum);
-    threads_wall_seconds = machine.wall_seconds();
+    wall_seconds = machine.wall_seconds();
     out.per_core = machine.collect();
-  } else {
-    MultiVm machine(subs, options.exec, &fabric, engine_ptr,
-                    rebalancer.get(), governor.get());
-    for (std::size_t c = 0;
-         c < options.core_trace_sinks.size() && c < subs.size(); ++c) {
-      if (options.core_trace_sinks[c] != nullptr) {
-        machine.attach_trace_sink(c, options.core_trace_sinks[c]);
-      }
+    const ChannelFabric& fabric = machine.fabric();
+    const SchedPolicyEngine& engine = machine.engine();
+    out.channel_deliveries = fabric.deliveries();
+    out.channel_in_flight = fabric.in_flight() + engine.pool_pending();
+    out.pool_dispatches = engine.pool_dispatches();
+    out.steals = engine.steal_count();
+    if (const Rebalancer* rebalancer = machine.rebalancer()) {
+      out.rebalance_passes = rebalancer->passes();
+      out.rebalance_migrations = rebalancer->migrations();
+      out.rebalance_admissions = rebalancer->admissions();
+      out.rebalance_still_rejected = rebalancer->still_rejected();
+      out.rebalance_utilization = rebalancer->measured_utilization();
     }
-    machine.set_metrics(options.metrics);
-    machine.start();
-    machine.run_until(spec.horizon, options.quantum);
-    out.per_core = machine.collect();
+    if (const OverloadGovernor* governor = machine.governor()) {
+      out.overload_passes = governor->passes();
+      out.overload_utilization = governor->measured_utilization();
+    }
   }
   out.merged = merge_results(spec, out.partition, out.per_core);
-  out.channel_deliveries = fabric.deliveries();
-  out.channel_in_flight = fabric.in_flight() + engine.pool_pending();
-  out.pool_dispatches = engine.pool_dispatches();
-  out.steals = engine.steal_count();
-  if (rebalancer != nullptr) {
-    out.rebalance_passes = rebalancer->passes();
-    out.rebalance_migrations = rebalancer->migrations();
-    out.rebalance_admissions = rebalancer->admissions();
-    out.rebalance_still_rejected = rebalancer->still_rejected();
-    out.rebalance_utilization = rebalancer->measured_utilization();
-  }
-  if (governor != nullptr) {
-    out.overload_passes = governor->passes();
-    out.overload_utilization = governor->measured_utilization();
-  }
   // Fold the per-core shed/takeover ledger into the delivery ledger — one
   // kShed / kTakeover record per event, deciding core on both ends — so the
   // channel metrics and the invariant checker read a single source.
@@ -420,12 +346,12 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
         ++served;
         m.observe("threads.response_tu", job.response().to_tu());
       }
-      if (threads_wall_seconds > 0.0) {
+      if (wall_seconds > 0.0) {
         m.set_gauge("threads.events_per_sec",
                     static_cast<double>(out.merged.timeline.records().size()) /
-                        threads_wall_seconds);
+                        wall_seconds);
         m.set_gauge("threads.jobs_per_sec",
-                    static_cast<double>(served) / threads_wall_seconds);
+                    static_cast<double>(served) / wall_seconds);
       }
     }
   }

@@ -2,8 +2,8 @@
 //
 // The flow mirrors the uniprocessor experiment harness, with one extra
 // stage: partition → split into per-core uniprocessor specs → run each core
-// on the chosen engine (the theoretical simulator, or the RTSJ-style VM via
-// MultiVm in lock-step) → merge the per-core results back into one
+// on the chosen engine (the theoretical simulator, or the RTSJ-style VMs of
+// mp::MultiVm) → merge the per-core results back into one
 // RunResult whose timeline is namespaced per core ("c0/tau1", "c2/server").
 //
 // Feasibility follows the same shape: partition, then per-core response-time
@@ -32,13 +32,13 @@
 
 namespace tsf::mp {
 
-// Which substrate drives the per-core VMs on the exec path:
-//  * kLockstep — mp::MultiVm, one driver thread advancing every core
-//    sequentially to common epoch boundaries. Bit-reproducible; the oracle.
-//  * kThreads — mp::ThreadedRuntime, one pinned OS worker per core running
-//    concurrently between boundaries, cross-core fires staged through
-//    lock-free MPSC mailboxes and replayed in oracle order at each
-//    boundary. Same virtual-time results (cross-validated by
+// Which executor mp::MultiVm advances the per-core VMs with between epoch
+// boundaries (the boundary itself is the same function either way):
+//  * kLockstep — an inline loop on the calling thread, every core in core
+//    order. The deterministic oracle.
+//  * kThreads — one pinned OS worker per core running concurrently, meeting
+//    at a barrier whose completion step runs the boundary. Same
+//    virtual-time results (cross-validated by
 //    tests/mp/backend_equivalence_test.cc), plus wall-clock throughput and
 //    tail-latency measurement ("threads.*" metrics).
 enum class ExecBackend { kLockstep, kThreads };
@@ -49,8 +49,8 @@ std::optional<ExecBackend> parse_exec_backend(std::string_view name);
 // Which engine mp::run drives per core:
 //  * kSim — one sim::Simulator per core (theoretical policies, resumable
 //    service, no fabric: the static partition is final).
-//  * kExec — one RTSJ-style VM per core (implemented policies, lock-step or
-//    threaded time, channel fabric, policies/rebalance/overload live here).
+//  * kExec — one RTSJ-style VM per core (implemented policies, inline or
+//    threaded executor, channel fabric, policies/rebalance/overload live here).
 enum class RunEngine { kSim, kExec };
 
 const char* to_string(RunEngine engine);
@@ -68,7 +68,7 @@ struct MpRunOptions {
   // Execution substrate (exec path only): the lock-step oracle or the
   // real-threads measurement backend.
   ExecBackend backend = ExecBackend::kLockstep;
-  // Lock-step epoch of the MultiVm (execution path only).
+  // Epoch of the MultiVm (execution path only).
   common::Duration quantum = common::Duration::time_units(1);
   // Online load rebalancing at the epoch boundaries (exec path only; the
   // simulator has no fabric and always runs the static partition).
@@ -100,6 +100,12 @@ struct MpRunOptions {
 std::vector<model::SystemSpec> split_spec(
     const model::SystemSpec& spec, const Partition& partition,
     SchedPolicy policy = SchedPolicy::kPartitioned);
+
+// Whether, under the global policy, a job is handed to the shared ready
+// pool instead of any core's static assignment: unpinned and released by
+// time (a triggered job has no release of its own — it stays with its
+// routed core so the fire has a resident event to hit).
+bool pool_scheduled(const model::AperiodicJobSpec& job);
 
 // Merges per-core results: aperiodic outcomes in original spec order,
 // periodic outcomes sorted by (release, task), timelines concatenated with

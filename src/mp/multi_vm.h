@@ -1,109 +1,158 @@
-// MultiVm — the partitioned multi-core execution substrate.
+// MultiVm — the epoch loop of the partitioned multi-core runtime.
 //
 // Partitioned scheduling has no cross-core preemption, so a multi-core
 // machine is modelled as one deterministic rtsj::vm::VirtualMachine per
-// core. MultiVm advances all cores in lock-step virtual time: every core is
-// driven to the same sequence of epoch boundaries (multiples of `quantum`),
-// which keeps multi-core runs bit-reproducible — the merged trace depends
-// only on the specs, never on host scheduling — and gives future
-// cross-core-communication PRs a synchronization point that is already
-// deterministic.
+// core, each hosting one exp::ExecSystem (the same lowering run_exec uses).
+// MultiVm drives every core to the same sequence of epoch boundaries
+// (multiples of `quantum`). Within an epoch a core's VM is a closed
+// deterministic world; cross-core effects enter only at boundaries, where
+// one function, boundary(now), runs the whole sequence while every VM is
+// paused:
 //
-// Each core hosts one exp::ExecSystem (the same lowering run_exec uses), so
-// a MultiVm run of N single-core specs is observationally identical to N
-// independent run_exec calls — asserted by tests/mp/multi_vm_test.cc.
+//   1. staged-fire replay — handlers stage their outbound fires through
+//      their core's port into one MPSC queue (mp/mailbox.h); the boundary
+//      replays them into the fabric in (from_core, seq) order;
+//   2. fabric drain — remote fires and migrations are delivered;
+//   3. scheduling-policy engine — pool dispatch / work stealing;
+//   4. rebalancer — drift migration / online admission (rebalance != off);
+//   5. overload governor — shedding, the final resort (overload = shed);
+//   6. metrics.
+//
+// Only the executor that advances the cores between boundaries depends on
+// the backend:
+//  * ExecBackend::kLockstep — an inline loop on the calling thread runs
+//    each core's VM to the boundary in core order, then calls boundary().
+//  * ExecBackend::kThreads — one worker per core, pinned to a CPU where the
+//    platform allows it, runs its VM concurrently with the others; the
+//    workers meet at a std::barrier whose completion step (one thread,
+//    synchronized with every worker by the barrier) calls boundary().
+//
+// Both executors present the same staged batch to the same boundary, so
+// every trace, outcome and ledger is bit-identical across backends
+// (tests/mp/backend_equivalence_test.cc): the merged trace depends only on
+// the specs and the quantum, never on host scheduling. What differs run to
+// run is host time only ("mp.epoch.host_seconds", "threads.*").
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/metrics_registry.h"
 #include "common/time.h"
 #include "common/trace_sink.h"
 #include "exp/exec_runner.h"
 #include "model/run_result.h"
 #include "model/spec.h"
+#include "mp/channel.h"
+#include "mp/mailbox.h"
+#include "mp/mp_system.h"
+#include "mp/overload.h"
+#include "mp/partition.h"
+#include "mp/rebalance.h"
+#include "mp/sched_policy.h"
 #include "rtsj/vm/vm.h"
 
 namespace tsf::mp {
 
-class ChannelFabric;
-class OverloadGovernor;
-class Rebalancer;
-class SchedPolicyEngine;
-
 class MultiVm {
  public:
-  // One VM + ExecSystem per spec. Every spec needs a finite horizon.
-  //
-  // With a fabric, each core's ExecSystem posts outbound cross-core traffic
-  // through fabric->port(core), every job in the per-core specs is bound
-  // into the fabric's routing table, and run_until drains the fabric's
-  // mailboxes at every epoch boundary (while all VMs are paused there) —
-  // the delivery instant of remote fires and migrations. The fabric must
-  // outlive the MultiVm.
-  //
-  // With an engine (which requires a fabric), the scheduling policy's
-  // boundary work — shared-pool dispatch under global, the steal pass under
-  // semi-partitioned — runs right after every fabric drain, at the same
-  // deterministic pause. The engine must outlive the MultiVm too.
-  //
-  // With a rebalancer (which also requires a fabric), the online
-  // load-rebalancing pass (mp/rebalance.h) runs after the drain and the
-  // policy engine, so it sees the queue depths including this boundary's
-  // deliveries. It must outlive the MultiVm.
-  //
-  // With a governor (which also requires a fabric), the overload shed pass
-  // (mp/overload.h) runs last of all — after the rebalancer, so shedding is
-  // the final resort once migration had its chance to place the backlog.
-  explicit MultiVm(std::vector<model::SystemSpec> per_core_specs,
-                   const exp::ExecOptions& options,
-                   ChannelFabric* fabric = nullptr,
-                   SchedPolicyEngine* engine = nullptr,
-                   Rebalancer* rebalancer = nullptr,
-                   OverloadGovernor* governor = nullptr);
+  // Builds the machine `options` describe for `spec` under `partition`:
+  // one VM + ExecSystem per core (split_spec), every core's jobs bound into
+  // the fabric's routing table, migratable and pool jobs registered, the
+  // rebalancer (rebalance != off) and governor (overload = shed) armed,
+  // options.core_trace_sinks teed onto the per-core timelines, and
+  // options.metrics as the counter registry. `spec`, `partition`, the
+  // sinks and the registry must outlive the MultiVm.
+  MultiVm(const model::SystemSpec& spec, const Partition& partition,
+          const MpRunOptions& options);
   ~MultiVm();
   MultiVm(const MultiVm&) = delete;
   MultiVm& operator=(const MultiVm&) = delete;
 
-  std::size_t cores() const { return vms_.size(); }
-  rtsj::vm::VirtualMachine& vm(std::size_t core) { return *vms_[core]; }
+  // Starts every core's world and advances it to `horizon` in epochs of
+  // `quantum` (the last one clipped), on the executor options.backend
+  // selects. One-shot. Rethrows the first error a core's world raised.
+  //
+  // Metrics: "mp.epochs", "mp.epoch.host_seconds" (host time from the end
+  // of the previous boundary, or the run's start, to the start of this
+  // one), "mp.fabric.deliveries", "mp.fabric.drain_size"; under threads
+  // also the gauges "threads.wall_seconds" and "threads.workers_pinned".
+  void run(common::TimePoint horizon,
+           common::Duration quantum = common::Duration::time_units(1));
 
-  // Streams core `core`'s trace into `sink` as well as its in-memory
-  // timeline (the VM's emission is replaced with an owned tee over both).
-  // Call before start(); the sink must outlive the MultiVm. One external
-  // sink per core — a later call for the same core supersedes the earlier.
-  void attach_trace_sink(std::size_t core, common::TraceSink* sink);
-
-  // Surfaces runtime counters during run_until: "mp.epochs",
-  // "mp.epoch.host_seconds", and with a fabric "mp.fabric.deliveries" /
-  // "mp.fabric.drain_size". The registry must outlive the run.
-  void set_metrics(common::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  // Arms every core's world. Call once, before run_until.
-  void start();
-
-  // Advances every core to `horizon` in lock-step epochs of `quantum`
-  // (the last epoch is clipped). Resumable like VirtualMachine::run_until.
-  void run_until(common::TimePoint horizon,
-                 common::Duration quantum = common::Duration::time_units(1));
-
-  // Per-core results, in core order. Destructive; call once after the run.
+  // Per-core results, in core order. Destructive; call once after run().
   std::vector<model::RunResult> collect();
 
+  // --- boundary state, for the run's result ---
+  const ChannelFabric& fabric() const { return fabric_; }
+  const SchedPolicyEngine& engine() const { return engine_; }
+  // Null when the policy is not configured.
+  const Rebalancer* rebalancer() const {
+    return rebalancer_ ? &*rebalancer_ : nullptr;
+  }
+  const OverloadGovernor* governor() const {
+    return governor_ ? &*governor_ : nullptr;
+  }
+  // Host seconds run() spent advancing the cores.
+  double wall_seconds() const { return wall_seconds_; }
+
  private:
+  struct StagedPort;
+  struct BoundaryFn {
+    MultiVm* machine;
+    void operator()() noexcept { machine->boundary(machine->next_boundary()); }
+  };
+
+  common::TimePoint next_boundary() const {
+    return common::min(now_ + quantum_, horizon_);
+  }
+  void run_inline();
+  void run_threads();
+  // The boundary sequence (see the file comment). Every VM is paused at
+  // `now`; on the threads executor every worker is parked at the barrier.
+  TSF_BARRIER_ONLY
+  void boundary(common::TimePoint now);
+  void record_failure(std::exception_ptr error);
+
+  // Boundary state first: the worlds below hold pointers into it.
+  ChannelFabric fabric_;
+  SchedPolicyEngine engine_;
+  std::optional<Rebalancer> rebalancer_;
+  std::optional<OverloadGovernor> governor_;
+  common::MetricsRegistry* metrics_ = nullptr;
+  ExecBackend backend_;
+
+  // The one staging queue every core's port pushes into; drained only by
+  // boundary().
+  MpscQueue<StagedFire> staged_;
+  std::vector<StagedFire> replay_;  // reused per-boundary batch buffer
+  std::vector<std::unique_ptr<StagedPort>> ports_;
+  std::vector<std::unique_ptr<common::TeeSink>> tees_;
   // Destruction order matters: systems_ (fibers, timers) must go before
   // the VMs they run on, so vms_ is declared first.
   std::vector<std::unique_ptr<rtsj::vm::VirtualMachine>> vms_;
   std::vector<std::unique_ptr<exp::ExecSystem>> systems_;
-  ChannelFabric* fabric_ = nullptr;
-  SchedPolicyEngine* engine_ = nullptr;
-  Rebalancer* rebalancer_ = nullptr;
-  OverloadGovernor* governor_ = nullptr;
-  common::MetricsRegistry* metrics_ = nullptr;
-  std::vector<std::unique_ptr<common::TeeSink>> tees_;
+
+  // Epoch cursor: the last boundary reached. Threads workers track the
+  // identical sequence locally (same arithmetic, same inputs).
   common::TimePoint now_ = common::TimePoint::origin();
+  common::TimePoint horizon_ = common::TimePoint::origin();
+  common::Duration quantum_ = common::Duration::time_units(1);
+  std::chrono::steady_clock::time_point boundary_end_;
+
+  std::atomic<bool> failed_{false};
+  std::atomic<std::size_t> pinned_{0};
+  std::mutex error_mutex_;
+  std::exception_ptr first_error_;
+  double wall_seconds_ = 0.0;
+  bool ran_ = false;
 };
 
 }  // namespace tsf::mp

@@ -10,7 +10,6 @@
 
 namespace tsf::mp {
 
-using common::Duration;
 using common::TimePoint;
 
 std::vector<common::InvariantChecker::Violation> check_overload_invariants(
@@ -37,73 +36,24 @@ OverloadGovernor::OverloadGovernor(exp::OverloadConfig config,
                                    ChannelFabric& fabric,
                                    const model::SystemSpec& spec,
                                    const Partition& partition)
-    : config_(std::move(config)), fabric_(fabric) {
+    : config_(std::move(config)),
+      fabric_(fabric),
+      meter_(fabric, spec, config_.period) {
   TSF_ASSERT(config_.mode == exp::OverloadMode::kShed,
              "only mode 'shed' needs a governor");
   TSF_ASSERT(config_.threshold > 0.0, "overload_threshold must be positive");
-  TSF_ASSERT(config_.period > Duration::zero(),
-             "overload_period must be positive");
   TSF_ASSERT(partition.cores.size() == fabric_.cores(),
              "partition and fabric disagree on the core count");
-  periodic_util_.reserve(partition.cores.size());
-  for (const auto& core : partition.cores) {
-    double u = 0.0;
-    for (std::size_t i : core.tasks) u += spec.periodic_tasks[i].utilization();
-    periodic_util_.push_back(u);
-    serves_.push_back(core.has_server);
-  }
-  measured_ = periodic_util_;
-  window_.resize(partition.cores.size());
-  migrated_in_.assign(partition.cores.size(), Duration::zero());
-  for (const auto& job : spec.aperiodic_jobs) {
-    declared_[job.name] = job.effective_declared_cost();
-  }
-}
-
-void OverloadGovernor::sample_loads(TimePoint boundary) {
-  const auto& ledger = fabric_.deliveries();
-  for (; ledger_seen_ < ledger.size(); ++ledger_seen_) {
-    const auto& d = ledger[ledger_seen_];
-    if (!d.ok) continue;
-    if (d.kind != exp::ChannelDelivery::Kind::kSteal &&
-        d.kind != exp::ChannelDelivery::Kind::kRebalance) {
-      continue;
-    }
-    if (d.from_core == exp::ChannelDelivery::kNoCore ||
-        d.to_core == exp::ChannelDelivery::kNoCore) {
-      continue;
-    }
-    const auto it = declared_.find(d.job);
-    if (it != declared_.end()) migrated_in_[d.to_core] += it->second;
-  }
-
-  for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
-    const Duration released =
-        endpoint != nullptr ? endpoint->released_cost() - migrated_in_[c]
-                            : Duration::zero();
-    auto& window = window_[c];
-    window.push_back({boundary, released});
-    while (window.size() >= 2 && window[1].at + config_.period <= boundary) {
-      window.pop_front();
-    }
-    const Sample& base = window.front();
-    const Duration span = boundary - base.at;
-    const double aperiodic_rate =
-        span > Duration::zero()
-            ? (released - base.released_cost).to_tu() / span.to_tu()
-            : 0.0;
-    measured_[c] = periodic_util_[c] + aperiodic_rate;
-  }
+  for (const auto& core : partition.cores) serves_.push_back(core.has_server);
 }
 
 bool OverloadGovernor::shed_pass(TimePoint boundary) {
+  const std::vector<double>& measured = meter_.utilization();
   bool ran = false;
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
     if (!serves_[c]) continue;
-    if (measured_[c] <= config_.threshold) continue;
+    if (measured[c] <= config_.threshold) continue;
     exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
-    if (endpoint == nullptr) continue;
     ran = true;
 
     auto candidates = endpoint->shed_candidates();
@@ -129,7 +79,7 @@ bool OverloadGovernor::shed_pass(TimePoint boundary) {
     // declared cost. Shedding more would throw away work a <=threshold core
     // could still serve; shedding less leaves the core re-triggering every
     // pass with the same backlog.
-    const double overshoot = measured_[c] - config_.threshold;
+    const double overshoot = measured[c] - config_.threshold;
     const double budget_tu = overshoot * config_.period.to_tu();
     double removed_tu = 0.0;
     for (const auto& cand : candidates) {
@@ -144,7 +94,7 @@ bool OverloadGovernor::shed_pass(TimePoint boundary) {
 }
 
 void OverloadGovernor::on_epoch(TimePoint boundary) {
-  sample_loads(boundary);
+  meter_.sample(boundary);
   if (boundary - last_pass_ < config_.period) return;
   if (shed_pass(boundary)) {
     ++passes_;

@@ -1,13 +1,12 @@
-// Utilization-based admission control at the lock-step epoch boundaries —
+// Utilization-based admission control at the epoch boundaries —
 // the `[run] overload = shed` policy.
 //
-// The governor runs inside the MultiVm / ThreadedRuntime boundary, after the
-// fabric drain, the scheduling-policy engine and the rebalancer, while every
+// The governor runs inside the MultiVm epoch boundary, after the fabric
+// drain, the scheduling-policy engine and the rebalancer, while every
 // per-core VM is paused — so its decisions depend only on (specs, quantum),
 // never on host scheduling. Per epoch it measures each core's utilization
-// exactly the way the rebalancer does (packed periodic load + offered
-// aperiodic rate over a sliding window of `period`, compensated for work
-// migrated in by steals/rebalances); when a core's measured utilization
+// with the rebalancer's LoadMeter (mp/load_meter.h) over a window of
+// `period`; when a core's measured utilization
 // exceeds `threshold`, the pass drops pending *sheddable* work — firm
 // (deadline-carrying), released before the boundary, not being served — in
 // lowest-value-density-first order until the overshoot's worth of declared
@@ -22,9 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/annotations.h"
@@ -32,6 +28,7 @@
 #include "common/time.h"
 #include "exp/overload.h"
 #include "model/spec.h"
+#include "mp/load_meter.h"
 #include "mp/partition.h"
 
 namespace tsf::mp {
@@ -50,9 +47,10 @@ std::vector<common::InvariantChecker::Violation> check_overload_invariants(
 
 class OverloadGovernor {
  public:
-  // `fabric`, `spec` and `partition` must outlive the governor; the
-  // partition must be the one the per-core specs were split from. Only mode
-  // kShed needs a governor (kDover sheds inside the per-core queues).
+  // `fabric` (with every endpoint connected) and `spec` must outlive the
+  // governor; `partition` must be the one the per-core specs were split
+  // from. Only mode kShed needs a governor (kDover sheds inside the
+  // per-core queues).
   OverloadGovernor(exp::OverloadConfig config, ChannelFabric& fabric,
                    const model::SystemSpec& spec, const Partition& partition);
 
@@ -65,30 +63,16 @@ class OverloadGovernor {
   std::uint64_t passes() const { return passes_; }
   std::uint64_t sheds() const { return sheds_; }
   const std::vector<double>& measured_utilization() const {
-    return measured_;
+    return meter_.utilization();
   }
 
  private:
-  struct Sample {
-    common::TimePoint at;
-    common::Duration released_cost;
-  };
-
-  void sample_loads(common::TimePoint boundary);
   bool shed_pass(common::TimePoint boundary);
 
   exp::OverloadConfig config_;
   ChannelFabric& fabric_;
-  std::vector<double> periodic_util_;
+  LoadMeter meter_;
   std::vector<bool> serves_;
-  std::vector<std::deque<Sample>> window_;
-  std::vector<double> measured_;
-  // Same released-cost compensation as the rebalancer: declared cost moved
-  // *into* each core by a re-releasing delivery (kSteal / kRebalance) is
-  // not freshly offered load.
-  std::vector<common::Duration> migrated_in_;
-  std::map<std::string, common::Duration> declared_;
-  std::size_t ledger_seen_ = 0;
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;
   std::uint64_t sheds_ = 0;

@@ -8,7 +8,6 @@
 
 namespace tsf::mp {
 
-using common::Duration;
 using common::TimePoint;
 
 const char* to_string(RebalanceMode mode) {
@@ -37,82 +36,25 @@ Rebalancer::Rebalancer(RebalanceConfig config, ChannelFabric& fabric,
       fabric_(fabric),
       spec_(spec),
       packer_(strategy),
+      meter_(fabric, spec, config_.period),
       rejected_(partition.rejected) {
   TSF_ASSERT(config_.mode != RebalanceMode::kOff,
              "a Rebalancer in mode 'off' should not be constructed");
   TSF_ASSERT(config_.drift > 0.0, "rebalance_drift must be positive");
-  TSF_ASSERT(config_.period > Duration::zero(),
-             "rebalance_period must be positive");
   TSF_ASSERT(partition.cores.size() == fabric_.cores(),
              "partition and fabric disagree on the core count");
-  periodic_util_.reserve(partition.cores.size());
   packed_util_.reserve(partition.cores.size());
   for (const auto& core : partition.cores) {
-    double u = 0.0;
-    for (std::size_t i : core.tasks) u += spec_.periodic_tasks[i].utilization();
-    periodic_util_.push_back(u);
     packed_util_.push_back(core.utilization);
     serves_.push_back(core.has_server);
-  }
-  measured_ = periodic_util_;
-  window_.resize(partition.cores.size());
-  migrated_in_.assign(partition.cores.size(), Duration::zero());
-  for (const auto& job : spec_.aperiodic_jobs) {
-    declared_[job.name] = job.effective_declared_cost();
-  }
-}
-
-void Rebalancer::sample_loads(TimePoint boundary) {
-  // Work moved *into* a core re-releases there (deliver_job), so its raw
-  // released_cost would count it as freshly offered load — and a pass
-  // would manufacture drift at the move's own target, bouncing the same
-  // backlog right back. The fabric ledger names every such re-release —
-  // this rebalancer's kRebalance migrations *and* the semi policy's
-  // kSteal moves — so the compensation covers both. kPool / kMigrate /
-  // kFire deliveries are a job's first release anywhere and stay counted;
-  // so do kRebalance admissions (from_core == kNoCore, a periodic task).
-  const auto& ledger = fabric_.deliveries();
-  for (; ledger_seen_ < ledger.size(); ++ledger_seen_) {
-    const auto& d = ledger[ledger_seen_];
-    if (!d.ok) continue;
-    if (d.kind != exp::ChannelDelivery::Kind::kSteal &&
-        d.kind != exp::ChannelDelivery::Kind::kRebalance) {
-      continue;
-    }
-    if (d.from_core == exp::ChannelDelivery::kNoCore ||
-        d.to_core == exp::ChannelDelivery::kNoCore) {
-      continue;
-    }
-    const auto it = declared_.find(d.job);
-    if (it != declared_.end()) migrated_in_[d.to_core] += it->second;
-  }
-
-  for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
-    const Duration released =
-        endpoint != nullptr ? endpoint->released_cost() - migrated_in_[c]
-                            : Duration::zero();
-    auto& window = window_[c];
-    window.push_back({boundary, released});
-    // Keep the newest sample that is at least one period old as the window
-    // base, so the measured rate spans the full period once warmed up.
-    while (window.size() >= 2 && window[1].at + config_.period <= boundary) {
-      window.pop_front();
-    }
-    const Sample& base = window.front();
-    const Duration span = boundary - base.at;
-    const double aperiodic_rate =
-        span > Duration::zero()
-            ? (released - base.released_cost).to_tu() / span.to_tu()
-            : 0.0;
-    measured_[c] = periodic_util_[c] + aperiodic_rate;
   }
 }
 
 bool Rebalancer::migrate_pass(TimePoint boundary) {
+  const std::vector<double>& measured = meter_.utilization();
   double max_drift = 0.0;
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    max_drift = std::max(max_drift, measured_[c] - packed_util_[c]);
+    max_drift = std::max(max_drift, measured[c] - packed_util_[c]);
   }
   if (max_drift <= config_.drift) return false;
 
@@ -127,9 +69,8 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   };
   std::vector<Movable> movable;
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    if (measured_[c] - packed_util_[c] <= config_.drift) continue;
+    if (measured[c] - packed_util_[c] <= config_.drift) continue;
     exp::CoreEndpoint* victim = fabric_.endpoint(c);
-    if (victim == nullptr) continue;
     auto snapshot = victim->stealable_snapshot();
     if (snapshot.empty()) continue;
     if (snapshot.size() >= victim->queue_depth()) {
@@ -157,8 +98,7 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   std::vector<double> bins;
   bins.reserve(fabric_.cores());
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    const bool serving = serves_[c] && fabric_.endpoint(c) != nullptr;
-    bins.push_back(serving ? measured_[c] : 2.0);
+    bins.push_back(serves_[c] ? measured[c] : 2.0);
   }
   const double service_period =
       spec_.server.period.is_zero() ? 1.0 : spec_.server.period.to_tu();
@@ -185,8 +125,9 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
         movable[i].stolen.job.name, movable[i].stolen.release);
     if (!stolen.has_value()) continue;  // raced away (defensive; VMs paused)
     fabric_.endpoint(target)->deliver_job(stolen->job, stolen->release);
-    // migrated_in_ is updated from the ledger record below at the next
-    // sample — exactly when the re-release shows up in released_cost.
+    // The meter compensates for this move from the ledger record below at
+    // its next sample — exactly when the re-release shows up in
+    // released_cost.
     exp::ChannelDelivery d;
     d.kind = exp::ChannelDelivery::Kind::kRebalance;
     d.job = stolen->job.name;
@@ -226,8 +167,8 @@ bool Rebalancer::admit_pass(TimePoint boundary) {
   // backlog away (the reversible side self-corrects; the admitted task
   // stays and is visible in the admission ledger and report).
   std::vector<double> bins;
-  bins.reserve(measured_.size());
-  for (const double u : measured_) bins.push_back(u + config_.drift);
+  bins.reserve(fabric_.cores());
+  for (const double u : meter_.utilization()) bins.push_back(u + config_.drift);
   const std::vector<int> placement = packer_.pack_items(items, bins);
 
   bool any = false;
@@ -241,10 +182,11 @@ bool Rebalancer::admit_pass(TimePoint boundary) {
     task.start = boundary;  // releases begin at the admission instant
     if (!fabric_.endpoint(target)->admit_task(task)) continue;
     // The admitted task is part of the mapping now: both the measured and
-    // the packed picture carry it, so it creates no phantom drift.
-    periodic_util_[target] += rejection.item.utilization;
+    // the packed picture carry it, so it creates no phantom drift. Every
+    // meter reads it from the endpoint from the next sample on; this one
+    // books it onto the current sample too.
     packed_util_[target] += rejection.item.utilization;
-    measured_[target] += rejection.item.utilization;
+    meter_.add(target, rejection.item.utilization);
     exp::ChannelDelivery d;
     d.kind = exp::ChannelDelivery::Kind::kRebalance;
     d.job = task.name;
@@ -268,7 +210,7 @@ bool Rebalancer::admit_pass(TimePoint boundary) {
 }
 
 void Rebalancer::on_epoch(TimePoint boundary) {
-  sample_loads(boundary);
+  meter_.sample(boundary);
   if (boundary - last_pass_ < config_.period) return;
   bool ran = migrate_pass(boundary);
   if (config_.mode == RebalanceMode::kAdmit && !rejected_.empty()) {

@@ -1,4 +1,4 @@
-// Online load rebalancing at the lock-step epoch boundaries of mp::MultiVm.
+// Online load rebalancing at the epoch boundaries of mp::MultiVm.
 //
 // The offline partitioner (mp/partition.h) packs by *declared* utilization
 // and then trusts the mapping for the whole run. Real traffic drifts: a
@@ -13,9 +13,8 @@
 // scheduling-policy engine, while every per-core VM is paused — so its
 // decisions depend only on (specs, quantum), never on host scheduling.
 //
-// Per epoch it samples each core's cumulative released aperiodic cost
-// (CoreEndpoint::released_cost) and derives a *measured* utilization over a
-// sliding window of `period`: the core's packed periodic load plus the
+// Per epoch it samples a *measured* utilization per core over a sliding
+// window of `period` (mp/load_meter.h): the core's periodic load plus the
 // offered aperiodic rate. Two triggers, gated by the mode:
 //
 //  * drift (modes kDrift and kAdmit) — when some core's measured
@@ -47,8 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,6 +53,7 @@
 #include "common/annotations.h"
 #include "common/time.h"
 #include "model/spec.h"
+#include "mp/load_meter.h"
 #include "mp/partition.h"
 
 namespace tsf::mp {
@@ -84,16 +82,16 @@ struct RebalanceConfig {
 
 class Rebalancer {
  public:
-  // `fabric`, `spec` and `partition` must outlive the Rebalancer; the
-  // partition must be the one the MultiVm's per-core specs were split from.
-  // `strategy` is re-used for the online re-pack, so offline and online
-  // placement follow the same heuristic.
+  // `fabric` (with every endpoint connected) and `spec` must outlive the
+  // Rebalancer; `partition` must be the one the per-core specs were split
+  // from. `strategy` is re-used for the online re-pack, so offline and
+  // online placement follow the same heuristic.
   Rebalancer(RebalanceConfig config, ChannelFabric& fabric,
              const model::SystemSpec& spec, const Partition& partition,
              PackingStrategy strategy);
 
   // The boundary hook: sample loads, then (rate-limited) migrate / admit.
-  // Invoked by MultiVm::run_until after the fabric drain and the
+  // Invoked by MultiVm::boundary after the fabric drain and the
   // scheduling-policy engine, while every VM is paused at `boundary`.
   TSF_BARRIER_ONLY
   void on_epoch(common::TimePoint boundary);
@@ -107,16 +105,10 @@ class Rebalancer {
   // The most recent per-core measured utilization sample — the
   // post-rebalance load picture cli/report and the benches print.
   const std::vector<double>& measured_utilization() const {
-    return measured_;
+    return meter_.utilization();
   }
 
  private:
-  struct Sample {
-    common::TimePoint at;
-    common::Duration released_cost;
-  };
-
-  void sample_loads(common::TimePoint boundary);
   bool migrate_pass(common::TimePoint boundary);
   bool admit_pass(common::TimePoint boundary);
 
@@ -124,27 +116,13 @@ class Rebalancer {
   ChannelFabric& fabric_;
   const model::SystemSpec& spec_;
   Partitioner packer_;
-  // Static per-core load the window measurement rides on: packed periodic
-  // tasks (+ tasks admitted online later). The aperiodic side is measured,
-  // not assumed.
-  std::vector<double> periodic_util_;
-  // The offline packer's verdict per core (tasks + server replica) — the
-  // baseline that "drift" is measured against.
+  // Measured utilization over a window of `period` (mp/load_meter.h).
+  LoadMeter meter_;
+  // The offline packer's verdict per core (tasks + server replica, plus
+  // tasks admitted online later) — the baseline "drift" is measured
+  // against.
   std::vector<double> packed_util_;
   std::vector<bool> serves_;
-  std::vector<std::deque<Sample>> window_;
-  std::vector<double> measured_;
-  // Declared cost moved *into* each core by a re-releasing delivery — a
-  // kRebalance migration or a semi-policy kSteal (tracked through the
-  // fabric ledger, so the policy engine's moves are covered too). The
-  // re-release inflates the receiver's released_cost, so the load
-  // measurement subtracts it: moved backlog is not freshly offered work,
-  // and must not manufacture drift at its own target. kPool, kMigrate and
-  // kFire deliveries are a job's *first* release on any core and count as
-  // genuinely offered load.
-  std::vector<common::Duration> migrated_in_;
-  std::map<std::string, common::Duration> declared_;  // job -> declared cost
-  std::size_t ledger_seen_ = 0;  // fabric deliveries already accounted
   std::vector<Rejection> rejected_;  // offline rejections not yet admitted
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;

@@ -48,7 +48,7 @@ void SchedPolicyEngine::add_pool_job(exp::MigratedJob job, TimePoint release) {
 void SchedPolicyEngine::on_epoch(TimePoint boundary) {
   switch (policy_) {
     case SchedPolicy::kPartitioned:
-      break;  // nothing to do; the engine is normally not even constructed
+      break;  // nothing to do: the static partition stands
     case SchedPolicy::kGlobal:
       drain_pool(boundary);
       break;

@@ -90,6 +90,39 @@ TEST(SpecFile, BadNumbersRejected) {
   EXPECT_NE(outcome.errors.front().find("number"), std::string::npos);
 }
 
+// Time values that Duration cannot hold — non-finite, or beyond the tick
+// range — are line-numbered parse errors, not a silently empty run or an
+// abort deep inside the engine.
+TEST(SpecFile, NonFiniteAndOverflowingTimesRejectedByLine) {
+  const std::string base =
+      "[server]\npolicy = polling\ncapacity = 3\nperiod = 6\n"
+      "[task t]\nperiod = 6\ncost = 1\n[run]\n";
+  for (const std::string bad : {"nan", "inf", "-inf", "1e300"}) {
+    SCOPED_TRACE(bad);
+    const auto horizon = parse_spec(base + "horizon = " + bad + "\n");
+    ASSERT_FALSE(horizon.ok());
+    EXPECT_NE(horizon.errors.front().find("line 9"), std::string::npos)
+        << horizon.errors.front();
+
+    const auto period = parse_spec(
+        "[server]\npolicy = polling\ncapacity = 3\nperiod = " + bad +
+        "\n[run]\nhorizon = 10\n");
+    ASSERT_FALSE(period.ok());
+    EXPECT_NE(period.errors.front().find("line 4"), std::string::npos)
+        << period.errors.front();
+  }
+  const auto nan = parse_spec(base + "horizon = nan\n");
+  EXPECT_NE(nan.errors.front().find("finite"), std::string::npos);
+  const auto huge = parse_spec(base + "horizon = 1e300\n");
+  EXPECT_NE(huge.errors.front().find("largest representable"),
+            std::string::npos);
+  const auto negative = parse_spec(base + "horizon = -1\n");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.errors.front().find("non-negative"), std::string::npos);
+  // The largest representable duration itself still parses.
+  EXPECT_TRUE(parse_spec(base + "horizon = 1e15\n").ok());
+}
+
 TEST(SpecFile, NamelessTaskRejected) {
   const auto outcome = parse_spec("[task]\nperiod=5\ncost=1\n"
                                   "[run]\nhorizon=10\n");

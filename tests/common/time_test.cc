@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 namespace tsf::common {
@@ -18,6 +19,18 @@ TEST(Duration, FromTuRoundsToNearestTick) {
   EXPECT_EQ(Duration::from_tu(0.0004), Duration::ticks(0));
   EXPECT_EQ(Duration::from_tu(0.0006), Duration::ticks(1));
   EXPECT_EQ(Duration::from_tu(-1.5), Duration::ticks(-1500));
+}
+
+TEST(Duration, CheckedFromTuRejectsWhatTicksCannotHold) {
+  EXPECT_EQ(Duration::checked_from_tu(0.1), Duration::ticks(100));
+  EXPECT_EQ(Duration::checked_from_tu(-1.5), Duration::ticks(-1500));
+  EXPECT_FALSE(Duration::checked_from_tu(std::nan("")).has_value());
+  EXPECT_FALSE(Duration::checked_from_tu(HUGE_VAL).has_value());
+  EXPECT_FALSE(Duration::checked_from_tu(-HUGE_VAL).has_value());
+  EXPECT_FALSE(Duration::checked_from_tu(1e300).has_value());
+  // infinite() is the "never" sentinel, not a representable duration.
+  EXPECT_FALSE(Duration::checked_from_tu(Duration::infinite().to_tu()));
+  EXPECT_TRUE(Duration::checked_from_tu(1e15).has_value());
 }
 
 TEST(Duration, Arithmetic) {

@@ -1,7 +1,7 @@
 // Legal twin of bad_phase_order.cc: the worker-phase port stages the fire
 // into an MPSC queue (itself worker-phase on the push side); only the
 // barrier-only boundary hook pops the stage and posts into the fabric —
-// exactly the StagedPort discipline of mp/threaded_runtime.cc.
+// exactly the StagedPort discipline of mp/multi_vm.cc.
 // Expected findings: none.
 #include <cstddef>
 #include <string>

@@ -138,7 +138,7 @@ TEST(LintMutation, DetUnorderedIterFiresByName) {
 
 TEST(LintMutation, PhaseOrderConvictsSeededEdgeThroughMemberChain) {
   // The seeded edge is runtime->fabric_.post_fire — a two-hop member chain
-  // in the shape of mp/threaded_runtime.cc, so this also locks in the
+  // in the shape of mp/multi_vm.cc, so this also locks in the
   // receiver-aware call resolution.
   const LintRun run = run_lint({"bad_phase_order.cc"});
   EXPECT_EQ(run.exit_code, 1);
@@ -165,6 +165,29 @@ TEST(LintMutation, PhaseOrderAllowlistWaivesExactlyTheSeededEdge) {
   EXPECT_EQ(run.exit_code, 0)
       << "the reviewed allowlist entry must silence the seeded edge";
   EXPECT_EQ(finding_count(run), 0u);
+}
+
+TEST(LintMutation, AllowStaleFiresByName) {
+  // An allowlist edge that waives no path is itself a finding, reported at
+  // its own line of the allowlist; the twin's edge waives the seeded edge.
+  const LintRun bad =
+      run_lint({"bad_phase_order.cc"}, "bad_allow_stale.allow");
+  EXPECT_EQ(bad.exit_code, 1);
+  EXPECT_EQ(rules_of(bad), std::set<std::string>{"allow-stale"});
+  const JsonValue* findings = bad.report.find("findings");
+  ASSERT_NE(findings, nullptr);
+  ASSERT_EQ(findings->as_array().size(), 1u);
+  const JsonValue& f = findings->as_array()[0];
+  EXPECT_NE(f.find("file")->as_string().find("bad_allow_stale.allow"),
+            std::string::npos);
+  EXPECT_EQ(f.find("line")->as_number(), 5.0);
+  EXPECT_NE(f.find("message")->as_string().find("GonePort::fire_remote"),
+            std::string::npos);
+
+  const LintRun good =
+      run_lint({"bad_phase_order.cc"}, "good_allow_stale.allow");
+  EXPECT_EQ(good.exit_code, 0);
+  EXPECT_EQ(finding_count(good), 0u);
 }
 
 TEST(LintMutation, SuppressionMisuseIsItselfAFinding) {

@@ -150,12 +150,75 @@ TEST(BackendEquivalence, SemiPartitionedStealing) {
   expect_equivalent(busy_spec(3), options, "semi");
 }
 
-TEST(BackendEquivalence, DriftRebalance) {
-  MpRunOptions options;
-  options.rebalance.mode = RebalanceMode::kDrift;
-  options.rebalance.drift = 0.05;
-  options.rebalance.period = tu(4);
-  expect_equivalent(busy_spec(2), options, "rebalance");
+// Three 0.3 tasks on two cores whose server replicas hold 0.5 each: the
+// packer rejects one, and admit mode starts it online once measured
+// headroom appears. A later burst of firm jobs pinned to core 0 then drives
+// that core past the shed threshold.
+model::SystemSpec admit_shed_spec() {
+  model::SystemSpec spec;
+  spec.name = "admit-shed";
+  spec.cores = 2;
+  spec.server.policy = model::ServerPolicy::kPolling;
+  spec.server.capacity = tu(3);
+  spec.server.period = tu(6);
+  spec.server.priority = 30;
+  for (int i = 0; i < 3; ++i) {
+    model::PeriodicTaskSpec t;
+    t.name = "t" + std::to_string(i);
+    t.period = tu(10);
+    t.cost = tu(3);
+    t.priority = 10 + i;
+    spec.periodic_tasks.push_back(t);
+  }
+  for (int j = 0; j < 8; ++j) {
+    model::AperiodicJobSpec job;
+    job.name = "f" + std::to_string(j);
+    job.release = TimePoint::origin() + Duration::from_tu(20.0 + 0.1 * j);
+    job.cost = Duration::from_tu(1.5);
+    job.relative_deadline = tu(6);
+    job.affinity = 0;
+    spec.aperiodic_jobs.push_back(job);
+  }
+  spec.horizon = at_tu(40);
+  return spec;
+}
+
+// Online rebalancing cells: drift migrations, and online admission under
+// the shed governor. On threads, admit_task builds the admitted task's
+// fiber from the barrier-completion thread.
+TEST(BackendEquivalence, OnlineRebalancing) {
+  MpRunOptions drift;
+  drift.rebalance.mode = RebalanceMode::kDrift;
+  drift.rebalance.drift = 0.05;
+  drift.rebalance.period = tu(4);
+
+  MpRunOptions admit_shed;
+  admit_shed.quantum = Duration::from_tu(0.5);
+  admit_shed.rebalance.mode = RebalanceMode::kAdmit;
+  admit_shed.rebalance.drift = 0.25;
+  admit_shed.rebalance.period = tu(6);
+  admit_shed.exec.overload.mode = exp::OverloadMode::kShed;
+  admit_shed.exec.overload.threshold = 0.75;
+  admit_shed.exec.overload.period = tu(6);
+
+  const struct {
+    const char* label;
+    model::SystemSpec spec;
+    MpRunOptions options;
+  } cells[] = {
+      {"rebalance", busy_spec(2), drift},
+      {"admit+shed", admit_shed_spec(), admit_shed},
+  };
+  for (const auto& cell : cells) {
+    expect_equivalent(cell.spec, cell.options, cell.label);
+  }
+
+  // The admit+shed cell must exercise both policies.
+  admit_shed.backend = ExecBackend::kThreads;
+  const auto threads = mp::run(cells[1].spec, admit_shed);
+  EXPECT_EQ(threads.rebalance_admissions, 1u);
+  EXPECT_FALSE(threads.merged.shed_events.empty());
+  EXPECT_TRUE(check_overload_invariants(cells[1].spec, threads).empty());
 }
 
 TEST(BackendEquivalence, SubQuantumEpochAndJitter) {

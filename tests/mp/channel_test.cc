@@ -108,7 +108,7 @@ TEST(ChannelFabric, FireToExpectedUnboundNameWaitsForTheBind) {
   fabric.connect(1, &e1);
   fabric.expect("pool_job");
 
-  fabric.port(0)->fire_remote("pool_job", at_tu(1.5));
+  fabric.post_fire(0, "pool_job", at_tu(1.5));
   EXPECT_TRUE(fabric.deliveries().empty()) << "must not fail terminally";
   EXPECT_EQ(fabric.in_flight(), 1u);
   EXPECT_EQ(fabric.drain(at_tu(2)), 0u);  // still homeless: stays parked
@@ -132,7 +132,7 @@ TEST(ChannelFabric, RoutesFireToBoundCoreAtNextDrain) {
   fabric.connect(1, &e1);
   fabric.bind(1, "pong");
 
-  fabric.port(0)->fire_remote("pong", at_tu(1.5));
+  fabric.post_fire(0, "pong", at_tu(1.5));
   EXPECT_TRUE(e1.fires.empty());  // nothing until a boundary drain
   EXPECT_EQ(fabric.in_flight(), 1u);
 
@@ -158,7 +158,7 @@ TEST(ChannelFabric, UnboundTargetIsATerminalFailedDelivery) {
   fabric.connect(0, &e0);
   fabric.connect(1, &e1);
 
-  fabric.port(0)->fire_remote("ghost", at_tu(1));
+  fabric.post_fire(0, "ghost", at_tu(1));
   ASSERT_EQ(fabric.deliveries().size(), 1u);
   EXPECT_FALSE(fabric.deliveries()[0].ok);
   EXPECT_EQ(fabric.in_flight(), 0u);
@@ -174,7 +174,7 @@ TEST(ChannelFabric, LatencyDefersEligibilityToALaterBoundary) {
   fabric.connect(1, &e1);
   fabric.bind(1, "pong");
 
-  fabric.port(0)->fire_remote("pong", at_tu(1.5));
+  fabric.post_fire(0, "pong", at_tu(1.5));
   EXPECT_EQ(fabric.drain(at_tu(2)), 0u);  // due at 2.5, not yet
   EXPECT_EQ(fabric.in_flight(), 1u);
   EXPECT_EQ(fabric.drain(at_tu(3)), 1u);
@@ -205,7 +205,7 @@ TEST(ChannelFabric, MigrationPicksLeastLoadedServingCore) {
   ASSERT_EQ(idle.migrated.size(), 1u);
   EXPECT_EQ(idle.migrated[0], "mig");
   // Once homed, fires can route to the migrated job.
-  fabric.port(0)->fire_remote("mig", at_tu(5));
+  fabric.post_fire(0, "mig", at_tu(5));
   EXPECT_EQ(fabric.drain(at_tu(6)), 1u);
   ASSERT_EQ(idle.fires.size(), 1u);
   EXPECT_EQ(idle.fires[0], "mig");

@@ -41,7 +41,7 @@ struct Msg {
 // One randomized round: `producers` threads each push `per_producer`
 // messages (with a seed-derived payload), the consumer drains after all
 // producers joined — the same quiescent-drain discipline the epoch barrier
-// gives ThreadedRuntime.
+// gives MultiVm's threads executor.
 void run_round(std::uint32_t seed, std::uint32_t producers,
                std::uint64_t per_producer) {
   MpscQueue<Msg> queue;

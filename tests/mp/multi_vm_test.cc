@@ -1,6 +1,8 @@
 // MultiVm lock-step semantics: advancing N per-core VMs in shared epochs
 // must be observationally identical to running each core's VM on its own,
-// and must be insensitive to the epoch size.
+// and must be insensitive to the epoch size. The machines here always carry
+// their channel fabric; these specs declare no fires or migrations, so it
+// stays inert.
 #include "mp/multi_vm.h"
 
 #include <gtest/gtest.h>
@@ -59,9 +61,8 @@ TEST(MultiVm, LockstepMatchesIndependentRunExec) {
   const auto subs = split_spec(spec, partition);
   ASSERT_EQ(subs.size(), 2u);
 
-  MultiVm machine(subs, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon);
+  MultiVm machine(spec, partition, MpRunOptions{});
+  machine.run(spec.horizon);
   const auto lockstep = machine.collect();
 
   for (std::size_t c = 0; c < subs.size(); ++c) {
@@ -81,13 +82,11 @@ TEST(MultiVm, LockstepMatchesIndependentRunExec) {
 TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
   const auto spec = two_core_spec();
   const auto partition = Partitioner().partition(spec);
-  const auto subs = split_spec(spec, partition);
 
   std::vector<std::uint64_t> hashes;
   for (const auto quantum : {tu(1), tu(5), tu(24)}) {
-    MultiVm machine(subs, exp::ExecOptions{});
-    machine.start();
-    machine.run_until(spec.horizon, quantum);
+    MultiVm machine(spec, partition, MpRunOptions{});
+    machine.run(spec.horizon, quantum);
     std::uint64_t combined = 0;
     for (auto& result : machine.collect()) {
       combined ^= common::fingerprint(result.timeline);
@@ -119,9 +118,9 @@ TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
   spec.horizon = at_tu(20);
 
   const auto solo = exp::run_exec(spec);
-  MultiVm machine({spec}, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon, tu(1));  // pause at every single tu
+  const auto partition = Partitioner().partition(spec);
+  MultiVm machine(spec, partition, MpRunOptions{});
+  machine.run(spec.horizon, tu(1));  // pause at every single tu
   const auto lockstep = machine.collect();
   EXPECT_EQ(common::fingerprint(lockstep[0].timeline),
             common::fingerprint(solo.timeline));
@@ -145,9 +144,9 @@ TEST(MultiVm, FrozenFiberIntervalClosesAtFinalHorizon) {
   spec.periodic_tasks.push_back(t);
   spec.horizon = at_tu(3);  // cuts the first job mid-execution
 
-  MultiVm machine({spec}, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon, tu(1));
+  const auto partition = Partitioner().partition(spec);
+  MultiVm machine(spec, partition, MpRunOptions{});
+  machine.run(spec.horizon, tu(1));
   const auto results = machine.collect();
   const auto busy = results[0].timeline.busy_intervals("tau");
   ASSERT_EQ(busy.size(), 1u);
@@ -385,29 +384,6 @@ TEST_P(MultiVmPolicyDeterminism, JobDeclarationOrderDoesNotChangeTheRun) {
     EXPECT_EQ(job_a.served, it->served) << job_a.name;
     EXPECT_EQ(job_a.release, it->release) << job_a.name;
     EXPECT_EQ(job_a.completion, it->completion) << job_a.name;
-  }
-}
-
-TEST(MultiVm, ResumableAcrossMultipleRunUntilCalls) {
-  const auto spec = two_core_spec();
-  const auto partition = Partitioner().partition(spec);
-  const auto subs = split_spec(spec, partition);
-
-  MultiVm machine(subs, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(at_tu(7));
-  EXPECT_EQ(machine.vm(0).now(), at_tu(7));
-  EXPECT_EQ(machine.vm(1).now(), at_tu(7));
-  machine.run_until(spec.horizon);
-  const auto results = machine.collect();
-
-  MultiVm oneshot(subs, exp::ExecOptions{});
-  oneshot.start();
-  oneshot.run_until(spec.horizon);
-  const auto expected = oneshot.collect();
-  for (std::size_t c = 0; c < results.size(); ++c) {
-    EXPECT_EQ(common::fingerprint(results[c].timeline),
-              common::fingerprint(expected[c].timeline));
   }
 }
 

@@ -161,7 +161,7 @@ TEST(Rebalance, OffIsTheExistingPartitionedBaseline) {
 // tiny, so measured headroom appears (0.3 + drift margin 0.25 + 0.3 fits
 // under 1.0) and admit mode starts the rejected task mid-run on the
 // chosen core — reclaiming server reservation the workload is not using.
-TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
+model::SystemSpec admit_spec() {
   model::SystemSpec spec;
   spec.name = "admit";
   spec.cores = 2;
@@ -185,12 +185,21 @@ TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
     spec.aperiodic_jobs.push_back(job);
   }
   spec.horizon = at_tu(60);
+  return spec;
+}
 
+MpRunOptions admit_options() {
   MpRunOptions options;
   options.quantum = tu(0.5);
   options.rebalance.mode = RebalanceMode::kAdmit;
   options.rebalance.drift = 0.25;
   options.rebalance.period = tu(6);
+  return options;
+}
+
+TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
+  const auto spec = admit_spec();
+  const auto options = admit_options();
 
   const auto partition = Partitioner(options.strategy).partition(spec);
   ASSERT_EQ(partition.rejected.size(), 1u)
@@ -230,6 +239,31 @@ TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
   const auto ch =
       exp::compute_channel_metrics(run.channel_deliveries, run.merged);
   EXPECT_EQ(ch.rebalance_admissions, 1u);
+}
+
+// The overload governor measures with its own LoadMeter; a task the
+// rebalancer admitted online must count in it as well, or a shedding
+// governor under-measures the admitting core and sheds too little. With
+// equal windows and no aperiodic release in the final window, both meters
+// read exactly the periodic load, admitted task included.
+TEST(Rebalance, GovernorSeesTasksAdmittedOnline) {
+  const auto spec = admit_spec();
+  auto options = admit_options();
+  options.exec.overload.mode = exp::OverloadMode::kShed;
+  options.exec.overload.threshold = 0.95;
+  options.exec.overload.period = options.rebalance.period;
+
+  const auto run = mp::run(spec, options);
+  ASSERT_EQ(run.rebalance_admissions, 1u);
+  const exp::ChannelDelivery* admission = nullptr;
+  for (const auto& d : run.channel_deliveries) {
+    if (d.kind == exp::ChannelDelivery::Kind::kRebalance) admission = &d;
+  }
+  ASSERT_NE(admission, nullptr);
+  ASSERT_EQ(run.overload_utilization.size(), 2u);
+  EXPECT_DOUBLE_EQ(run.overload_utilization[admission->to_core], 0.6)
+      << "the governor must measure the admitted task";
+  EXPECT_EQ(run.overload_utilization, run.rebalance_utilization);
 }
 
 TEST(RebalanceMode, ParseAndPrintRoundTrip) {

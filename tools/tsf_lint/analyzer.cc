@@ -683,7 +683,10 @@ void Analyzer::check_phase_order(std::vector<Finding>* findings) const {
                            e.from == caller.qualified ||
                            e.from == caller.simple;
       const bool to_ok = e.to == target.qualified || e.to == target.simple;
-      if (from_ok && to_ok) return true;
+      if (from_ok && to_ok) {
+        e.used = true;
+        return true;
+      }
     }
     return false;
   };
@@ -754,6 +757,15 @@ void Analyzer::check_phase_order(std::vector<Finding>* findings) const {
   }
 }
 
+void Analyzer::check_stale_allowlist(std::vector<Finding>* findings) const {
+  for (const AllowEdge& e : allowlist_) {
+    if (e.used) continue;
+    findings->push_back({allowlist_path_, e.line, "allow-stale", "",
+                         "allowlist edge '" + e.from + " -> " + e.to +
+                             "' waives no phase-order path; delete it"});
+  }
+}
+
 void Analyzer::check_suppression_comments(
     std::vector<Finding>* findings) const {
   for (const LexedFile& file : files_) {
@@ -804,6 +816,7 @@ std::vector<Finding> Analyzer::run() {
   check_rt_rules(&findings);
   check_det_rules(&findings);
   check_phase_order(&findings);
+  check_stale_allowlist(&findings);
   apply_suppressions(&findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -836,6 +849,7 @@ bool parse_allowlist(std::string_view text, std::vector<AllowEdge>* out,
       return false;
     }
     AllowEdge e;
+    e.line = static_cast<int>(line_no);
     e.from = trim(body.substr(0, arrow));
     e.to = trim(body.substr(arrow + 2));
     e.note = std::move(note);

@@ -18,6 +18,7 @@
 //                       exceptions live in the allowlist file)
 //   allow-missing-justification / allow-unknown-rule
 //                       malformed TSF_LINT_ALLOW suppressions
+//   allow-stale         an allowlist edge that waived no phase-order path
 #pragma once
 
 #include <cstddef>
@@ -77,13 +78,17 @@ struct AllowEdge {
   std::string from;
   std::string to;
   std::string note;
+  int line = 0;  // in the allowlist file
+  mutable bool used = false;  // set when the edge waives a path
 };
 
 class Analyzer {
  public:
   // Lexes nothing itself: feed lex() results in any order, then run().
   void add_file(LexedFile file);
-  void set_allowlist(std::vector<AllowEdge> allow) {
+  // `path` names the allowlist file in allow-stale findings.
+  void set_allowlist(std::string path, std::vector<AllowEdge> allow) {
+    allowlist_path_ = std::move(path);
     allowlist_ = std::move(allow);
   }
 
@@ -102,6 +107,8 @@ class Analyzer {
   void check_rt_rules(std::vector<Finding>* findings) const;
   void check_det_rules(std::vector<Finding>* findings) const;
   void check_phase_order(std::vector<Finding>* findings) const;
+  // After check_phase_order: every allowlist edge that waived nothing.
+  void check_stale_allowlist(std::vector<Finding>* findings) const;
   void apply_suppressions(std::vector<Finding>* findings) const;
   // Resolution is receiver-aware: member calls are followed through the
   // member-type map starting from `caller`'s class; plain calls prefer a
@@ -119,6 +126,7 @@ class Analyzer {
   // names no in-tree class has, which correctly dead-ends the chain.
   std::map<std::string, std::map<std::string, std::string>> member_types_;
   std::vector<FunctionInfo> functions_;
+  std::string allowlist_path_;
   std::vector<AllowEdge> allowlist_;
   std::size_t annotated_count_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -88,16 +89,17 @@ struct Parser {
       error(line, "expected a number, got '" + v + "'");
       return false;
     }
+    // nan and inf mean nothing in any key, and casting them is undefined.
+    if (!std::isfinite(*dst)) {
+      error(line, "expected a finite number, got '" + v + "'");
+      return false;
+    }
     return true;
   }
 
   bool parse_duration(int line, const std::string& value, Duration* dst) {
     double tu = 0.0;
     if (!parse_double(line, value, &tu)) return false;
-    if (!std::isfinite(tu)) {
-      error(line, "durations must be finite, got '" + trim(value) + "'");
-      return false;
-    }
     if (tu < 0.0) {
       error(line, "durations must be non-negative");
       return false;
@@ -118,6 +120,11 @@ struct Parser {
   bool parse_int(int line, const std::string& value, int* dst) {
     double x = 0.0;
     if (!parse_double(line, value, &x)) return false;
+    if (x != std::trunc(x) || x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max()) {
+      error(line, "expected an integer, got '" + trim(value) + "'");
+      return false;
+    }
     *dst = static_cast<int>(x);
     return true;
   }

@@ -35,34 +35,29 @@ class Accumulator {
   double sum_c_ = 0.0;  // compensation term
 };
 
-// Quantile estimation over a stream of samples.
-//
-// Exact while the sample count stays within `capacity`; beyond that it
-// degrades to uniform reservoir sampling (Vitter's algorithm R) driven by a
-// fixed-seed deterministic RNG, so results are reproducible run-to-run.
-// capacity == 0 means "unbounded": keep everything, always exact.
+// Exact nearest-rank quantiles over every sample added. A run's reported
+// p50/p95/p99 come from here: each is a sample that actually occurred.
+// common::LogSketch answers the same questions mergeably in O(buckets)
+// memory, but only within 1% relative error of these values — not
+// byte-identical to them — so it cannot replace this class there.
 class QuantileReservoir {
  public:
-  explicit QuantileReservoir(std::size_t capacity = 0,
-                             std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
 
-  void add(double x);
+  std::size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
 
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  bool exact() const { return count_ <= samples_.size() || capacity_ == 0; }
-
-  // Nearest-rank quantile of the retained samples, q in [0,1]; 0 when empty.
-  // Sorts on demand (cached until the next add).
+  // Nearest-rank quantile, q in [0,1]; 0 when empty. Sorts on demand
+  // (cached until the next add).
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
  private:
-  std::size_t capacity_;
-  std::uint64_t rng_state_;
-  std::size_t count_ = 0;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };

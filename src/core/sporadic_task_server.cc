@@ -36,9 +36,11 @@ void SporadicTaskServer::serve() {
     };
     auto request = queue_->pop_fitting(fits);
     if (!request) break;
+    batch_.clear();
+    batch_.push_back(std::move(*request));
 
     const rtsj::AbsoluteTime t0 = vm_.now();
-    const DispatchResult r = dispatch(*request, remaining_);
+    const DispatchResult r = dispatch_batch(1, remaining_);
     const rtsj::RelativeTime consumed = common::min(r.elapsed, remaining_);
     remaining_ -= consumed;
     vm_.trace().record(vm_.now(), common::TraceKind::kCapacity,

@@ -129,54 +129,6 @@ std::optional<Request> TaskServer::steal_pending_request(
       before);
 }
 
-TaskServer::DispatchResult TaskServer::dispatch(const Request& request,
-                                                rtsj::RelativeTime budget) {
-  ++dispatches_;
-  if (!params_.dispatch_overhead().is_zero()) {
-    vm_.work(params_.dispatch_overhead());
-  }
-  // Attribute the service window to the handler so traces and figures show
-  // h1/h2 execution the way the paper draws them.
-  vm_.set_label(request.handler->name());
-  const rtsj::AbsoluteTime t0 = vm_.now();
-
-  rtsj::Timed timed(vm_, budget);
-  rtsj::InterruptibleFn body(
-      [&](rtsj::Timed& t) { request.handler->run_logic(t); });
-  const bool completed = timed.do_interruptible(body);
-
-  const rtsj::AbsoluteTime t1 = vm_.now();
-  vm_.set_label(params_.name());
-
-  model::JobOutcome out;
-  out.name = request.handler->name();
-  out.release = request.release;
-  out.cost = request.handler->cost();
-  out.start = t0;
-  // Completion records carry the release instant so the invariant checker
-  // can match a dispatch back to the exact (job, release) it served. Both
-  // land after set_label restored the server label, so busy_intervals sees
-  // the job's window already closed and ignores them.
-  if (completed) {
-    out.served = true;
-    out.completion = t1;
-    ++served_;
-    vm_.trace().record(t1, common::TraceKind::kComplete,
-                       request.handler->name(), request.release.ticks());
-  } else {
-    out.interrupted = true;
-    ++interrupted_;
-    vm_.trace().record(t1, common::TraceKind::kAbort,
-                       request.handler->name(), request.release.ticks());
-  }
-  outcomes_.push_back(out);
-
-  DispatchResult result;
-  result.elapsed = t1 - t0;
-  result.served = completed;
-  return result;
-}
-
 std::size_t TaskServer::collect_batch(const FitsFn& head_fits,
                                       const BatchFitsFn& follow_fits) {
   batch_.clear();
@@ -201,10 +153,6 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
   TSF_ASSERT(count >= 1 && count <= batch_.size(),
              "dispatch_batch of " << count << " with " << batch_.size()
                                   << " collected");
-  // One collected request is exactly the classic path — same call sequence,
-  // same trace, so batch = 1 keeps today's fingerprints bit-for-bit.
-  if (count == 1) return dispatch(batch_[0], budget);
-
   ++dispatches_;
   if (!params_.dispatch_overhead().is_zero()) {
     vm_.work(params_.dispatch_overhead());
@@ -232,8 +180,8 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
       out.served = true;
       out.completion = t1;
       ++served_;
-      // At the member's true instant, after its label window closed — the
-      // same ordering dispatch() produces.
+      // At the member's true instant, after its label window closed; the
+      // release lets the invariant checker match the exact job served.
       vm_.trace().record(t1, common::TraceKind::kComplete,
                          r.handler->name(), r.release.ticks());
       outcomes_.push_back(std::move(out));

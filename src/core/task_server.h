@@ -160,12 +160,6 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
     bool served = false;
   };
 
-  // Runs one request under Timed(budget) in the calling fiber (the server's
-  // own thread), measuring elapsed wall-clock virtual time exactly the way
-  // the paper's implementation does. Records the outcome.
-  TSF_REALTIME
-  DispatchResult dispatch(const Request& request, rtsj::RelativeTime budget);
-
   // Pops up to params_.batch_limit() requests into batch_: the head via
   // `head_fits` (the policy's full single-request rule), followers via
   // `follow_fits`, which sees the batch's cumulative declared cost so the
@@ -177,12 +171,12 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   std::size_t collect_batch(const FitsFn& head_fits,
                             const BatchFitsFn& follow_fits);
 
-  // Serves batch_[0..count) under ONE Timed(budget) section, charging
-  // dispatch_overhead once for the whole burst — the §7 bind/dispatch
-  // amortization. Each member gets its own label window, start/completion
-  // instants and kComplete record, emitted at its true instant inside the
-  // section. count == 1 is exactly dispatch(). If the section's budget
-  // expires mid-batch, the running member is recorded interrupted and the
+  // Serves batch_[0..count) under ONE Timed(budget) section in the
+  // server's fiber, charging dispatch_overhead once for the whole burst —
+  // the §7 bind/dispatch amortization. Each member gets its own label
+  // window, start/completion instants and kComplete record, emitted at its
+  // true instant inside the section. If the section's budget expires
+  // mid-batch, the running member is recorded interrupted and the
   // unstarted tail goes back to the front of the queue untouched.
   TSF_REALTIME
   DispatchResult dispatch_batch(std::size_t count, rtsj::RelativeTime budget);

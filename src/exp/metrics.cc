@@ -12,7 +12,7 @@ namespace tsf::exp {
 RunMetrics compute_run_metrics(const model::RunResult& run) {
   RunMetrics m;
   common::Accumulator responses;
-  common::QuantileReservoir tail;  // unbounded: runs are small, stay exact
+  common::QuantileReservoir tail;
   for (const auto& job : run.jobs) {
     ++m.released;
     if (job.served) {

@@ -47,9 +47,9 @@ double seconds_since(std::chrono::steady_clock::time_point begin) {
 
 }  // namespace
 
-// A core's completion port: a handler finishing on core `core` (on the
-// executor's thread or one of its VM's fiber threads) stages the fire into
-// the shared MPSC queue instead of touching the fabric. `next_seq` is
+// A core's completion port: a handler finishing on core `core` (a fiber
+// of that core's VM, on the thread driving it) stages the fire into the
+// shared MPSC queue instead of touching the fabric. `next_seq` is
 // plain — only this core's world posts through this port, and within one
 // world exactly one fiber (or the executor) runs at a time.
 struct MultiVm::StagedPort : exp::CrossCorePort {
@@ -187,6 +187,8 @@ void MultiVm::run(TimePoint horizon, Duration quantum) {
 
   const auto run_begin = std::chrono::steady_clock::now();
   boundary_end_ = run_begin;
+  // Every endpoint is armed before any executor can reach a boundary.
+  for (auto& system : systems_) system->start();
   if (backend_ == ExecBackend::kThreads) {
     run_threads();
   } else {
@@ -202,7 +204,6 @@ void MultiVm::run(TimePoint horizon, Duration quantum) {
 }
 
 void MultiVm::run_inline() {
-  for (auto& system : systems_) system->start();
   while (now_ < horizon_) {
     const TimePoint next = next_boundary();
     for (auto& vm : vms_) vm->run_until(next);
@@ -212,21 +213,15 @@ void MultiVm::run_inline() {
 
 void MultiVm::run_threads() {
   const std::size_t cores = vms_.size();
-  std::barrier start_barrier(static_cast<std::ptrdiff_t>(cores));
   std::barrier<BoundaryFn> epoch_barrier(static_cast<std::ptrdiff_t>(cores),
                                          BoundaryFn{this});
   std::vector<std::thread> workers;
   workers.reserve(cores);
   for (std::size_t c = 0; c < cores; ++c) {
-    workers.emplace_back([this, c, &start_barrier, &epoch_barrier] {
+    workers.emplace_back([this, c, &epoch_barrier] {
       if (pin_current_thread(c)) {
         pinned_.fetch_add(1, std::memory_order_relaxed);
       }
-      // start() on the worker so the world's fiber threads are spawned
-      // here and inherit the affinity; the start barrier guarantees every
-      // endpoint is armed before any boundary can deliver into it.
-      systems_[c]->start();
-      start_barrier.arrive_and_wait();
       TimePoint now = TimePoint::origin();
       while (now < horizon_) {
         now = common::min(now + quantum_, horizon_);

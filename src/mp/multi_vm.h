@@ -23,9 +23,11 @@
 //  * ExecBackend::kLockstep — an inline loop on the calling thread runs
 //    each core's VM to the boundary in core order, then calls boundary().
 //  * ExecBackend::kThreads — one worker per core, pinned to a CPU where the
-//    platform allows it, runs its VM concurrently with the others; the
-//    workers meet at a std::barrier whose completion step (one thread,
-//    synchronized with every worker by the barrier) calls boundary().
+//    platform allows it, runs its VM concurrently with the others (the
+//    VM's fibers switch in process on that worker, so a core is exactly
+//    one OS thread); the workers meet at a std::barrier whose completion
+//    step (one thread, synchronized with every worker by the barrier)
+//    calls boundary().
 //
 // Both executors present the same staged batch to the same boundary, so
 // every trace, outcome and ledger is bit-identical across backends

@@ -6,8 +6,7 @@ namespace tsf::rtsj {
 
 namespace {
 // Balances enter/exit even when AsyncInterrupt (or VM shutdown) unwinds the
-// section. Captures the owning fiber: during teardown the guard runs on a
-// fiber that no longer holds the baton.
+// section.
 class InterruptibleSection {
  public:
   InterruptibleSection(vm::VirtualMachine& machine, vm::Fiber* fiber)

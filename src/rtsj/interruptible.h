@@ -8,7 +8,7 @@
 // paper's interrupted-aperiodics ratio.
 #pragma once
 
-#include <functional>
+#include <utility>
 
 #include "rtsj/time.h"
 #include "rtsj/vm/vm.h"
@@ -30,10 +30,11 @@ class Interruptible {
   virtual void interrupt_action(AbsoluteTime at) { (void)at; }
 };
 
-// Adapts a lambda to Interruptible.
+// Adapts a lambda to Interruptible. The callable is held by value, not
+// type-erased, so wrapping a capturing lambda never touches the heap.
+template <typename Run>
 class InterruptibleFn : public Interruptible {
  public:
-  using Run = std::function<void(Timed&)>;
   explicit InterruptibleFn(Run run) : run_(std::move(run)) {}
   void run(Timed& timed) override { run_(timed); }
 

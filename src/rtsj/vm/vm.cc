@@ -1,10 +1,30 @@
 #include "rtsj/vm/vm.h"
 
+#include <sanitizer/common_interface_defs.h>
+#include <sanitizer/tsan_interface.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 
 #include "common/diag.h"
 
 namespace tsf::rtsj::vm {
+
+namespace {
+// Usable bytes of every fiber stack, and the PROT_NONE guard below it that
+// makes an overflow fault as on a pthread stack (64 KiB is a whole number
+// of pages on every Linux page size).
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+constexpr std::size_t kGuardBytes = 64 * 1024;
+}  // namespace
+
+Fiber::~Fiber() {
+  if (stack_ == nullptr) return;
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+  munmap(stack_, kGuardBytes + kFiberStackBytes);
+}
 
 VirtualMachine::VirtualMachine(OverheadModel overhead) : overhead_(overhead) {
   // Charged by the event queue right before a taxed (kernel-timer) callback
@@ -16,22 +36,12 @@ VirtualMachine::VirtualMachine(OverheadModel overhead) : overhead_(overhead) {
 }
 
 VirtualMachine::~VirtualMachine() {
+  // Resume every started, unfinished fiber once: it throws FiberShutdown
+  // from its park point (or skips its body if it never ran), unwinds so the
+  // destructors on its stack run, and switches straight back here.
   shutting_down_ = true;
-  // Signal termination to every unfinished fiber BEFORE joining any thread.
-  // Each released fiber observes shutting_down_ on wake (the semaphore
-  // hand-off orders the flag write before the read), throws FiberShutdown
-  // from its park point, unwinds, and exits without handing the baton to
-  // anyone. Signalling first matters when a run aborted mid-horizon: a
-  // fiber that is already unwinding (its state not yet kFinished when we
-  // look) must never be joined while another parked fiber still waits for
-  // its wake-up token, or teardown could stall behind a fiber whose exit
-  // depends on state the parked one holds. Finished fibers get no token —
-  // they are past their last acquire and only need the join.
   for (auto& f : fibers_) {
-    if (f->thread_.joinable() && !f->finished()) f->sem_.release();
-  }
-  for (auto& f : fibers_) {
-    if (f->thread_.joinable()) f->thread_.join();
+    if (f->stack_ != nullptr && !f->finished()) switch_to(nullptr, f.get());
   }
 }
 
@@ -45,30 +55,50 @@ Fiber* VirtualMachine::create_fiber(std::string name, int priority,
 void VirtualMachine::start_fiber(Fiber* fiber) {
   TSF_ASSERT(fiber->state_ == Fiber::State::kNew,
              "fiber " << fiber->name_ << " started twice");
-  fiber->thread_ = std::thread([this, fiber] { fiber_main(fiber); });
+  void* stack = mmap(nullptr, kGuardBytes + kFiberStackBytes,
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  TSF_ASSERT(stack != MAP_FAILED, "no memory for fiber " << fiber->name_);
+  fiber->stack_ = stack;
+  const bool guarded = mprotect(stack, kGuardBytes, PROT_NONE) == 0;
+  const bool captured = getcontext(&fiber->context_) == 0;
+  TSF_ASSERT(guarded && captured, "cannot set up fiber " << fiber->name_);
+  fiber->context_.uc_stack.ss_sp = static_cast<char*>(stack) + kGuardBytes;
+  fiber->context_.uc_stack.ss_size = kFiberStackBytes;
+  fiber->context_.uc_link = nullptr;  // fiber_main never returns
+  // makecontext passes int-sized arguments only: split the pointer.
+  const auto bits =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(fiber));
+  makecontext(&fiber->context_, reinterpret_cast<void (*)()>(&fiber_entry),
+              2, static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits));
+#if defined(__SANITIZE_THREAD__)
+  fiber->tsan_fiber_ = __tsan_create_fiber(0);
+#endif
   make_ready(fiber);
 }
 
+void VirtualMachine::fiber_entry(unsigned hi, unsigned lo) {
+  auto* self = reinterpret_cast<Fiber*>(
+      static_cast<std::uintptr_t>((std::uint64_t{hi} << 32) | lo));
+  self->vm_->fiber_main(self);
+}
+
 void VirtualMachine::fiber_main(Fiber* self) {
-  self->sem_.acquire();  // wait for the first grant
+  finish_switch(nullptr);  // first arrival: no fake stack to restore
   if (!shutting_down_) {
     try {
       self->body_();
     } catch (const FiberShutdown&) {
       // normal teardown path
     } catch (...) {
-      // During teardown every released fiber unwinds concurrently, so
-      // pending_error_ (single-threaded baton state) must not be touched —
-      // the VM is being destroyed and nobody would rethrow it anyway.
-      if (!shutting_down_ && !pending_error_) {
-        pending_error_ = std::current_exception();
-      }
+      if (!pending_error_) pending_error_ = std::current_exception();
     }
   }
   self->state_ = Fiber::State::kFinished;
-  if (shutting_down_) return;  // the destructor owns the baton now
+  if (shutting_down_) switch_to(self, nullptr);  // to the destructor, for good
   close_trace(self);
-  yield_to_scheduler(self);  // returns immediately for finished fibers
+  yield_to_scheduler(self);  // never returns: nothing grants a finished fiber
 }
 
 VirtualMachine::TimerHandle VirtualMachine::schedule_timer(
@@ -103,7 +133,7 @@ void VirtualMachine::run_until(TimePoint horizon) {
     Fiber* next = pick_ready();
     if (next != nullptr && now_ < horizon_) {
       grant(next);
-      main_sem_.acquire();  // baton comes back when no fiber can run
+      switch_to(nullptr, next);  // returns when no fiber can run
       continue;
     }
     if (now_ >= horizon_) break;
@@ -285,52 +315,74 @@ void VirtualMachine::make_ready(Fiber* fiber) {
 }
 
 void VirtualMachine::grant(Fiber* fiber) {
-  if (frozen_ != nullptr) {
-    if (frozen_ == fiber) {
-      // Resume a horizon-frozen fiber in place: same instant, trace still
-      // open, no context switch — indistinguishable from never pausing.
-      frozen_ = nullptr;
-      remove_from_ready(fiber);
-      fiber->state_ = Fiber::State::kRunning;
-      current_ = fiber;
-      fiber->sem_.release();
-      return;
-    }
-    // Someone else runs first: the freeze was a real preemption after all.
-    close_trace(frozen_);
-    frozen_ = nullptr;
-  }
+  // Resuming a horizon-frozen fiber is seamless: same instant, trace still
+  // open, no context switch — indistinguishable from never pausing. If
+  // someone else runs first, the freeze was a real preemption after all.
+  const bool resumes_frozen = frozen_ == fiber;
+  if (frozen_ != nullptr && !resumes_frozen) close_trace(frozen_);
+  frozen_ = nullptr;
   remove_from_ready(fiber);
   fiber->state_ = Fiber::State::kRunning;
-  current_ = fiber;
+  if (resumes_frozen) return;
   ++context_switches_;
   if (!overhead_.context_switch.is_zero()) {
     add_overhead(overhead_.context_switch);
   }
   open_trace(fiber);
-  fiber->sem_.release();
 }
 
 void VirtualMachine::yield_to_scheduler(Fiber* self) {
-  // Read our own state before handing the baton over: the instant grant()
-  // (or the driver release) lets another thread run, that thread may
-  // re-grant *this* fiber and write self->state_ — reading it afterwards
-  // would race. Finished is final, so the early snapshot is equivalent.
-  const bool finished = self->state_ == Fiber::State::kFinished;
   Fiber* next = (now_ < horizon_) ? pick_ready() : nullptr;
-  if (next != nullptr) {
-    grant(next);
-  } else {
-    current_ = nullptr;
-    main_sem_.release();
-  }
-  if (finished) return;
-  self->sem_.acquire();
+  if (next != nullptr) grant(next);
+  switch_to(self, next);
   // TSF_LINT_ALLOW[rt-throw]: teardown-only unwind — FiberShutdown is
   // thrown exactly once per fiber, at VM destruction, to collapse the
   // fiber's stack; it can never fire during a live run_until.
   if (shutting_down_) throw FiberShutdown{};
-  TSF_ASSERT(current_ == self, "woke without the baton: " << self->name_);
+  TSF_ASSERT(current_ == self, "resumed while not current: " << self->name_);
+}
+
+// Invariant: never switch inside a catch handler or while unwinding. The
+// C++ runtime keeps its exception state (__cxa_eh_globals) per OS thread,
+// and every fiber of a VM shares the driver's thread, so a switch there
+// would interleave two contexts' exception state. Fibers switch only from
+// work(), sleep_until(), block() and fiber exit, never from a handler, and
+// during teardown those return early. (The destructor may itself run
+// during unwinding: each fiber it resumes throws and catches completely
+// before switching back, leaving that state as it found it.)
+void VirtualMachine::switch_to(Fiber* from, Fiber* to) {
+  current_ = to;
+  switching_from_driver_ = from == nullptr;
+  void* fake_stack = nullptr;
+#if defined(__SANITIZE_ADDRESS__)
+  // A finished fiber leaves for good: no save slot frees its fake stack.
+  const bool for_good = from != nullptr && from->finished();
+  __sanitizer_start_switch_fiber(
+      for_good ? nullptr : &fake_stack,
+      to != nullptr ? static_cast<char*>(to->stack_) + kGuardBytes
+                    : driver_stack_bottom_,
+      to != nullptr ? kFiberStackBytes : driver_stack_size_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  if (from == nullptr) driver_tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber_ : driver_tsan_fiber_,
+                         0);
+#endif
+  const bool switched =
+      swapcontext(from != nullptr ? &from->context_ : &driver_context_,
+                  to != nullptr ? &to->context_ : &driver_context_) == 0;
+  TSF_ASSERT(switched, "swapcontext failed");
+  finish_switch(fake_stack);
+}
+
+void VirtualMachine::finish_switch([[maybe_unused]] void* fake_stack) {
+#if defined(__SANITIZE_ADDRESS__)
+  // Arriving from the driver is how the VM learns the driver's stack.
+  const bool from_driver = switching_from_driver_;
+  __sanitizer_finish_switch_fiber(
+      fake_stack, from_driver ? &driver_stack_bottom_ : nullptr,
+      from_driver ? &driver_stack_size_ : nullptr);
+#endif
 }
 
 void VirtualMachine::open_trace(Fiber* fiber) {

@@ -11,9 +11,10 @@
 //
 // Execution model
 // ---------------
-// Each schedulable entity is a Fiber: an OS thread that only ever runs while
-// it holds the VM baton (exactly one fiber — or the driver inside
-// run_until() — is unparked at any moment, enforced with binary semaphores).
+// Each schedulable entity is a Fiber: a stackful coroutine on its own
+// guard-paged stack. Exactly one fiber — or the driver inside run_until() —
+// runs at any moment, on the driver's OS thread: every hand-off is an
+// in-process swapcontext, and a VM owns no thread or lock.
 // Fibers execute ordinary C++; only VirtualMachine::work() consumes virtual
 // time. work(d) advances the global clock, yields to higher-priority fibers
 // that become ready, and accounts for kernel overhead (timer fires, context
@@ -22,14 +23,15 @@
 // will observe it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <ucontext.h>
 
 #include "common/annotations.h"
 #include "common/event_queue.h"
@@ -73,6 +75,7 @@ class Fiber {
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
+  ~Fiber();
 
  private:
   friend class VirtualMachine;
@@ -95,8 +98,9 @@ class Fiber {
   bool interrupt_pending_ = false;
   int interruptible_depth_ = 0;
   bool trace_open_ = false;
-  std::binary_semaphore sem_{0};
-  std::thread thread_;
+  void* stack_ = nullptr;  // mmap'd by start_fiber, guard page lowest
+  ucontext_t context_{};
+  void* tsan_fiber_ = nullptr;  // ThreadSanitizer fiber handle, if any
 };
 
 class VirtualMachine {
@@ -140,7 +144,9 @@ class VirtualMachine {
 
   // Runs the world until `horizon`. Resumable: calling again with a later
   // horizon continues where the previous call stopped, with fibers exactly
-  // where they were. Must be called from outside any fiber.
+  // where they were. Must be called from outside any fiber. Fibers run on
+  // the calling thread: keep a run on one thread, since a resumed fiber may
+  // hold thread-local values (errno, thread ids) cached from the last one.
   void run_until(TimePoint horizon);
 
   // ---- calls made from inside fibers ----
@@ -173,6 +179,7 @@ class VirtualMachine {
  private:
   friend class Fiber;
 
+  static void fiber_entry(unsigned hi, unsigned lo);
   void fiber_main(Fiber* self);
   void advance_to(TimePoint t);
   void add_overhead(Duration d);
@@ -180,11 +187,16 @@ class VirtualMachine {
   Fiber* pick_ready() const;
   void remove_from_ready(Fiber* fiber);
   void make_ready(Fiber* fiber);
+  // Bookkeeping (trace, switch accounting); the caller then switches.
   void grant(Fiber* fiber);
-  // Parks `self` (whose state has already been updated) and transfers the
-  // baton to the next ready fiber or to the driver; returns when granted
-  // again. Throws FiberShutdown if woken during teardown.
+  // Parks `self` (whose state has already been updated) and switches to the
+  // next ready fiber or to the driver; returns when granted again. Throws
+  // FiberShutdown if resumed during teardown.
   void yield_to_scheduler(Fiber* self);
+  // The one context switch: saves `from`, makes `to` current and resumes
+  // it (nullptr = the driver in run_until or the destructor).
+  void switch_to(Fiber* from, Fiber* to);
+  void finish_switch(void* fake_stack);  // sanitizer side of arriving
   void open_trace(Fiber* fiber);
   void close_trace(Fiber* fiber);
   void maybe_rethrow();
@@ -196,7 +208,7 @@ class VirtualMachine {
   common::EventQueue timers_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Fiber*> ready_;
-  Fiber* current_ = nullptr;  // nullptr: the driver holds the baton
+  Fiber* current_ = nullptr;  // nullptr: the driver is running
   // Fiber parked mid-work() by the run_until horizon, trace still open and
   // no context switch charged: resuming the world at the same instant is a
   // driver artifact, not a scheduling event, so a later run_until continues
@@ -207,7 +219,14 @@ class VirtualMachine {
   // never ends mid-interval); the next run_until retracts it.
   Fiber* frozen_ = nullptr;
   bool frozen_pause_recorded_ = false;
-  std::binary_semaphore main_sem_{0};
+  ucontext_t driver_context_{};
+  // Sanitizer state of the driver as of its last switch into a fiber (the
+  // driving OS thread may change between calls): its stack for ASan, its
+  // TSan fiber, and whether the switch in flight left the driver.
+  const void* driver_stack_bottom_ = nullptr;
+  std::size_t driver_stack_size_ = 0;
+  void* driver_tsan_fiber_ = nullptr;
+  bool switching_from_driver_ = false;
   std::uint64_t next_ready_seq_ = 0;
   std::uint64_t context_switches_ = 0;
   bool shutting_down_ = false;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "cli/report.h"
 
 namespace tsf::cli {
@@ -121,6 +124,59 @@ TEST(SpecFile, NonFiniteAndOverflowingTimesRejectedByLine) {
   EXPECT_NE(negative.errors.front().find("non-negative"), std::string::npos);
   // The largest representable duration itself still parses.
   EXPECT_TRUE(parse_spec(base + "horizon = 1e15\n").ok());
+}
+
+// The non-time numbers: nan/inf are rejected like in time values, and an
+// integer key takes only an integral, in-range number — never a truncating
+// or undefined cast. `line` lands on line 5, at the end of `section`.
+TEST(SpecFile, NonTimeNumbersCheckedByLine) {
+  const std::map<std::string, std::string> blocks = {
+      {"server", "[server]\npolicy = polling\ncapacity = 3\nperiod = 6\n"},
+      {"task", "[task t]\nperiod = 6\ncost = 1\ndeadline = 6\n"},
+      {"job", "[job j]\nrelease = 1\ncost = 1\ndeclared = 1\n"},
+      {"run", "[run]\nhorizon = 10\ncores = 2\nmode = exec\n"},
+  };
+  const auto spec_with = [&](const std::string& section,
+                             const std::string& line) {
+    std::string text = blocks.at(section) + line + "\n";
+    for (const auto& [name, block] : blocks) {
+      if (name != section) text += block;
+    }
+    return parse_spec(text);
+  };
+  struct Case {
+    const char* section;
+    const char* key;
+    const char* good;
+    const char* bad;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"server", "priority", "30", "2.7", "integer"},
+      {"server", "priority", "30", "nan", "finite"},
+      {"server", "priority", "30", "1e300", "integer"},
+      {"task", "priority", "10", "-3e9", "integer"},
+      {"task", "affinity", "1", "inf", "finite"},
+      {"job", "affinity", "0", "0.5", "integer"},
+      {"job", "value", "2.5", "nan", "finite"},
+      {"job", "value", "2.5", "-inf", "finite"},
+      {"run", "batch", "4", "1.5", "integer"},
+      {"run", "rebalance_drift", "0.2", "nan", "finite"},
+      {"run", "rebalance_drift", "0.2", "inf", "finite"},
+      {"run", "overload_threshold", "0.9", "inf", "finite"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + " = " + c.bad);
+    const std::string key = std::string(c.key) + " = ";
+    const auto good = spec_with(c.section, key + c.good);
+    EXPECT_TRUE(good.ok()) << (good.ok() ? "" : good.errors.front());
+    const auto bad = spec_with(c.section, key + c.bad);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.errors.front().find("line 5"), std::string::npos)
+        << bad.errors.front();
+    EXPECT_NE(bad.errors.front().find(c.message), std::string::npos)
+        << bad.errors.front();
+  }
 }
 
 TEST(SpecFile, NamelessTaskRejected) {

@@ -1,8 +1,9 @@
 // Teardown regression suite for the VM's fiber shutdown: a VirtualMachine
-// must destroy cleanly — signalling termination to every fiber before
-// joining any thread — whatever state the run left its fibers in: started
+// must destroy cleanly whatever state the run left its fibers in — started
 // but never run, parked mid-work, frozen at a horizon, or stranded by a run
-// that aborted mid-horizon with an exception.
+// that aborted mid-horizon with an exception. The destructor resumes each
+// unfinished fiber once, on the destroying thread; the fiber unwinds its
+// stack (FiberShutdown) and switches straight back.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -23,8 +24,9 @@ TimePoint at_tu(std::int64_t n) {
 }
 
 TEST(VmShutdown, UnRunFibersDestroyCleanly) {
-  // Fibers started (threads spawned, parked at their first grant) but the
-  // driver never runs: destruction must wake and join every one.
+  // Fibers started (stacks mapped, ready for their first grant) but the
+  // driver never runs: destruction must release every one without running
+  // its body.
   VirtualMachine vm;
   bool ran = false;
   for (int i = 0; i < 8; ++i) {
@@ -40,7 +42,7 @@ TEST(VmShutdown, UnRunFibersDestroyCleanly) {
 }
 
 TEST(VmShutdown, NeverStartedFibersDestroyCleanly) {
-  // Created but never started: no thread exists, nothing to signal or join.
+  // Created but never started: no stack exists, nothing to resume.
   VirtualMachine vm;
   vm.create_fiber("idle", 5, [&vm] { vm.work(tu(1)); });
   vm.create_fiber("idle2", 6, [&vm] { vm.work(tu(1)); });
@@ -58,15 +60,16 @@ TEST(VmShutdown, MixOfFinishedParkedAndUnrunFibers) {
   EXPECT_TRUE(done->finished());
   EXPECT_FALSE(parked->finished());
   EXPECT_FALSE(unrun->finished());
-  // Destructor: one finished (join only), one frozen mid-work (signal +
-  // join), one ready-but-never-granted (signal + join).
+  // Destructor: one finished (nothing to resume), one frozen mid-work
+  // (resumed to unwind), one ready-but-never-granted (resumed, body
+  // skipped).
 }
 
 TEST(VmShutdown, AbortMidHorizonThenDestroyWithUnrunFibers) {
   // A run aborts mid-horizon: the erroring fiber's exception surfaces from
   // run_until while lower-priority fibers have not run at all and a
   // same-priority one is parked waiting. Destruction right after the abort
-  // must still signal every survivor before joining.
+  // must still release every survivor.
   auto vm = std::make_unique<VirtualMachine>();
   auto* boom = vm->create_fiber("boom", 30, [&] {
     vm->work(tu(2));
@@ -85,8 +88,9 @@ TEST(VmShutdown, AbortMidHorizonThenDestroyWithUnrunFibers) {
 
 TEST(VmShutdown, DestroyFromAnotherThreadAfterPartialRun) {
   // The threads backend drives a VM on a worker and may destroy it from the
-  // main thread after joining the worker: the join is the ordering edge the
-  // destructor relies on.
+  // main thread after joining the worker: the parked fiber then unwinds on
+  // the destroying thread, and the join is the ordering edge that makes
+  // that safe.
   for (int round = 0; round < 20; ++round) {
     auto vm = std::make_unique<VirtualMachine>();
     auto* fiber = vm->create_fiber("w", 10, [&] { vm->work(tu(1000)); });

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/time.h"
@@ -444,6 +445,38 @@ TEST(VmLifecycle, DestructionWithoutRunIsClean) {
   Fiber* f = m.create_fiber("unran", 10, [&] { m.work(tu(1)); });
   m.start_fiber(f);
   // No run_until at all.
+}
+
+TEST(VmThreads, EveryFiberRunsOnTheDriversThread) {
+  // A VM owns no OS thread: its fibers are context switches on the thread
+  // that calls run_until — the caller's own, or a worker's — so a core of
+  // the threads backend is exactly one OS thread.
+  for (const bool on_worker : {false, true}) {
+    SCOPED_TRACE(on_worker ? "driven by a worker" : "driven by the caller");
+    VirtualMachine m;
+    std::vector<std::thread::id> seen;
+    for (int i = 0; i < 3; ++i) {
+      Fiber* f = m.create_fiber("f" + std::to_string(i), 10 + i, [&] {
+        for (int step = 0; step < 4; ++step) {
+          seen.push_back(std::this_thread::get_id());
+          m.work(tu(1));
+        }
+      });
+      m.start_fiber(f);
+    }
+    std::thread::id driver = std::this_thread::get_id();
+    if (on_worker) {
+      std::thread worker([&] {
+        driver = std::this_thread::get_id();
+        m.run_until(at_tu(20));
+      });
+      worker.join();
+    } else {
+      m.run_until(at_tu(20));
+    }
+    ASSERT_EQ(seen.size(), 12u);
+    for (const std::thread::id id : seen) EXPECT_EQ(id, driver);
+  }
 }
 
 TEST(VmDeterminism, IdenticalSetupsProduceIdenticalTimelines) {

@@ -280,7 +280,9 @@ struct Parser {
     } else if (key == "deadline") {
       parse_duration(line, value, &job->relative_deadline);
     } else if (key == "value") {
-      parse_double(line, value, &job->value);
+      if (parse_double(line, value, &job->value) && job->value < 0.0) {
+        error(line, "value must be non-negative");
+      }
     } else if (key == "affinity") {
       int core = -1;
       if (parse_int(line, value, &core)) {

@@ -1,7 +1,6 @@
 #include "core/dover_queue.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/diag.h"
 #include "core/servable_async_event_handler.h"
@@ -21,8 +20,6 @@ DOverQueue::DOverQueue(Config config) : config_(std::move(config)) {
   TSF_ASSERT(config_.now && config_.meta && config_.on_admit &&
                  config_.on_demote && config_.on_shed,
              "dover queue needs every callback wired");
-  const double k = std::max(1.0, config_.importance_ratio);
-  takeover_factor_ = 1.0 + std::sqrt(k);
 }
 
 rtsj::RelativeTime DOverQueue::scaled(rtsj::RelativeTime cost) const {
@@ -36,46 +33,43 @@ rtsj::AbsoluteTime DOverQueue::latest_start(const Entry& e) const {
   return e.deadline - scaled(declared(e.request));
 }
 
-bool DOverQueue::feasible_with(const Entry& candidate,
-                               rtsj::AbsoluteTime now) const {
-  // Processor-demand test over the privileged set plus the candidate, in
-  // server time: cumulative scaled demand served EDF from `now` must meet
-  // every firm deadline.
-  std::vector<const Entry*> set;
+bool DOverQueue::admissible(const Entry& candidate, rtsj::AbsoluteTime now) {
+  demand_.clear();
   for (const auto& e : entries_) {
-    if (e.privileged) set.push_back(&e);
+    if (e.privileged) {
+      demand_.push_back({e.deadline, scaled(declared(e.request))});
+    }
   }
-  set.push_back(&candidate);
-  std::sort(set.begin(), set.end(), [](const Entry* a, const Entry* b) {
-    if (a->deadline != b->deadline) return a->deadline < b->deadline;
-    return a->request.seq < b->request.seq;
-  });
-  rtsj::AbsoluteTime t = now;
-  for (const Entry* e : set) {
-    t += scaled(declared(e->request));
-    if (!e->deadline.is_never() && t > e->deadline) return false;
-  }
-  return true;
+  demand_.push_back(
+      {candidate.deadline, scaled(declared(candidate.request))});
+  return analysis::dover::demand_feasible(now, demand_);
+}
+
+bool DOverQueue::edf_before(const Entry& a, const Entry& b) {
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return a.request.seq < b.request.seq;
+}
+
+std::optional<Request> DOverQueue::take(std::size_t i) {
+  if (i == entries_.size()) return std::nullopt;
+  Request r = std::move(entries_[i].request);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  return r;
 }
 
 void DOverQueue::push(Request r) {
-  Entry e;
   const JobMeta meta = config_.meta(r);
-  e.deadline = meta.relative_deadline.is_zero()
-                   ? rtsj::AbsoluteTime::never()
-                   : r.release + meta.relative_deadline;
-  e.value = meta.value;
-  e.request = std::move(r);
-  entries_.push_back(std::move(e));
+  const rtsj::AbsoluteTime deadline =
+      meta.relative_deadline.is_zero() ? rtsj::AbsoluteTime::never()
+                                       : r.release + meta.relative_deadline;
+  entries_.push_back(Entry{std::move(r), deadline, meta.value});
   reconcile();
 }
 
 void DOverQueue::reconcile() {
   const rtsj::AbsoluteTime now = config_.now();
-  // The decision sweeps run in server time at discrete instants (every push
-  // and every dispatch attempt), not at exact LST timers: a waiting entry's
-  // takeover decision fires once it could not survive to the next server
-  // period. `changed` loops until a sweep alters nothing.
+  // One sweep per instant of the server-time model (see the header);
+  // `changed` loops until a sweep alters nothing.
   const rtsj::RelativeTime period =
       rtsj::RelativeTime::ticks(config_.bandwidth_num);
   bool changed = true;
@@ -99,21 +93,17 @@ void DOverQueue::reconcile() {
     // 2. Waiting entries, earliest deadline first: admit any that pass the
     //    feasibility test against the current privileged set. Soft entries
     //    (deadline = never) always pass — they cannot constrain the test.
-    std::vector<std::size_t> waiting;
+    order_.clear();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].privileged) waiting.push_back(i);
+      if (!entries_[i].privileged) order_.push_back(i);
     }
-    std::sort(waiting.begin(), waiting.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (entries_[a].deadline != entries_[b].deadline) {
-                  return entries_[a].deadline < entries_[b].deadline;
-                }
-                return entries_[a].request.seq < entries_[b].request.seq;
-              });
-    for (std::size_t idx : waiting) {
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return edf_before(entries_[a], entries_[b]);
+    });
+    for (std::size_t idx : order_) {
       Entry& e = entries_[idx];
       if (now > latest_start(e)) continue;  // handled by step 3
-      if (feasible_with(e, now)) {
+      if (admissible(e, now)) {
         e.privileged = true;
         config_.on_admit(e.request, /*takeover=*/false);
         changed = true;
@@ -122,12 +112,10 @@ void DOverQueue::reconcile() {
     if (changed) continue;
 
     // 3. The LST rule, one critical entry per sweep: a waiting firm entry
-    //    that cannot survive until the next server period must start now or
-    //    never. If its value beats (1 + sqrt(k)) times the privileged
-    //    firm value, the privileged set is demoted and it takes over;
-    //    otherwise (or when it could not complete anyway, or it already
-    //    used its one LST decision) it is shed.
-    for (std::size_t idx : waiting) {
+    //    whose LST is within one server period takes over if it wins
+    //    against the privileged firm value; otherwise (or if it can no
+    //    longer complete, or already had its decision) it is shed.
+    for (std::size_t idx : order_) {
       Entry& e = entries_[idx];
       if (e.deadline.is_never()) continue;
       const rtsj::AbsoluteTime lst = latest_start(e);
@@ -141,7 +129,8 @@ void DOverQueue::reconcile() {
             privileged_value += p.value;
           }
         }
-        if (e.value > takeover_factor_ * privileged_value) {
+        if (analysis::dover::takes_over(e.value, privileged_value,
+                                        config_.importance_ratio)) {
           for (auto& p : entries_) {
             if (p.privileged && !p.deadline.is_never()) {
               p.privileged = false;
@@ -155,8 +144,7 @@ void DOverQueue::reconcile() {
         }
       }
       config_.on_shed(e.request, "lst");
-      entries_.erase(entries_.begin() +
-                     static_cast<std::ptrdiff_t>(idx));
+      take(idx);
       changed = true;
       break;
     }
@@ -166,23 +154,13 @@ void DOverQueue::reconcile() {
 std::optional<Request> DOverQueue::pop_fitting(const FitsFn& fits) {
   reconcile();
   // EDF over the privileged set, first-fit on the server's capacity rule.
-  std::vector<std::size_t> order;
+  std::size_t best = entries_.size();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].privileged) order.push_back(i);
+    const Entry& e = entries_[i];
+    if (!e.privileged || !fits(declared(e.request))) continue;
+    if (best == entries_.size() || edf_before(e, entries_[best])) best = i;
   }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (entries_[a].deadline != entries_[b].deadline) {
-      return entries_[a].deadline < entries_[b].deadline;
-    }
-    return entries_[a].request.seq < entries_[b].request.seq;
-  });
-  for (std::size_t idx : order) {
-    if (!fits(declared(entries_[idx].request))) continue;
-    Request r = std::move(entries_[idx].request);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(idx));
-    return r;
-  }
-  return std::nullopt;
+  return take(best);
 }
 
 std::vector<Request> DOverQueue::drain() {
@@ -203,13 +181,12 @@ std::optional<Request> DOverQueue::steal(const StealEligibleFn& eligible,
       best = i;
     }
   }
-  if (best == entries_.size()) return std::nullopt;
   // A privileged entry leaving for another core exits the admitted set
   // first, so the invariant checker never sees admitted work vanish.
-  if (entries_[best].privileged) config_.on_demote(entries_[best].request);
-  Request r = std::move(entries_[best].request);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(best));
-  return r;
+  if (best < entries_.size() && entries_[best].privileged) {
+    config_.on_demote(entries_[best].request);
+  }
+  return take(best);
 }
 
 void DOverQueue::visit(const std::function<void(const Request&)>& fn) const {

@@ -1,34 +1,25 @@
-// D-over as a pending-queue discipline — Koren & Shasha's optimal on-line
-// overload scheduler (the discipline seeded in src/sim/dover.cc, lifted here
-// into the execution path as a PendingQueue the TaskServer can run).
+// D-over as a pending-queue discipline: the rules of analysis/dover.h
+// applied to a TaskServer's pending releases.
 //
-// The queue maintains a *privileged set*: entries that passed a
-// processor-demand feasibility test at admission and are guaranteed (up to
-// the server-bandwidth approximation below) to meet their deadlines. A new
-// release is admitted iff the privileged set stays feasible with it;
-// otherwise it waits. When a waiting entry's latest start time (LST) expires
-// it either *takes over* — if its value exceeds (1 + sqrt(k)) times the
-// total privileged value, the whole privileged set is demoted and the
-// challenger admitted, k being the importance ratio of value densities —
-// or it is shed, never to be dispatched. This gives D-over's
-// 1/(1+sqrt(k))^2 competitive bound on accrued value.
-//
-// The feasibility test runs in *server time*: a request of cost c occupies
-// roughly c * period/capacity of wall-clock time on a bandwidth-limited
-// server, so demands are scaled by that ratio (integer arithmetic, rounded
-// up). Entries with a zero relative deadline are soft: always admitted
-// (they never constrain the test — an infinite deadline cannot be missed)
-// and never shed.
+// Time model: sweeps run in *server time* at discrete instants (every push
+// and every dispatch attempt), not at exact LST timers. Demand is the
+// declared cost scaled by period/capacity (rounded up), roughly its
+// wall-clock service time on the bandwidth-limited server. A waiting entry
+// is decided once its LST falls within one server period, and only once:
+// an entry demoted after its takeover is shed at its next critical
+// instant. Entries with a zero relative deadline are soft: always admitted,
+// never shed.
 //
 // Admission, demotion and shedding are reported through callbacks so the
 // owning TaskServer can emit the kAdmit/kDemote/kShed trace records and the
-// exactly-once ledger entries the invariant checker reconciles
+// exactly-once ledger the invariant checker reconciles
 // (FORBIDDEN_BEHAVIOR_CATALOG.md).
 #pragma once
 
 #include <functional>
 #include <string>
 
+#include "analysis/dover.h"
 #include "core/pending_queue.h"
 
 namespace tsf::core {
@@ -83,23 +74,26 @@ class DOverQueue : public PendingQueue {
     rtsj::AbsoluteTime deadline;  // never() = soft
     double value = 0.0;
     bool privileged = false;
-    // The LST takeover test fires at most once per entry; an entry demoted
-    // after its takeover is shed at its next critical instant.
-    bool lst_fired = false;
+    bool lst_fired = false;  // the one LST decision was made
   };
 
   // Wall-clock service-time upper bound for a declared cost.
   rtsj::RelativeTime scaled(rtsj::RelativeTime cost) const;
   rtsj::AbsoluteTime latest_start(const Entry& e) const;
   // Would the privileged set stay feasible with `candidate` added?
-  bool feasible_with(const Entry& candidate,
-                     rtsj::AbsoluteTime now) const;
+  bool admissible(const Entry& candidate, rtsj::AbsoluteTime now);
   // Admission / takeover / shedding sweep at the current instant.
   void reconcile();
+  // EDF order: earlier deadline, then earlier release sequence.
+  static bool edf_before(const Entry& a, const Entry& b);
+  // Removes entries_[i] and returns its request; nullopt for i == size().
+  std::optional<Request> take(std::size_t i);
 
   Config config_;
-  double takeover_factor_ = 2.0;  // 1 + sqrt(k)
-  std::vector<Entry> entries_;    // arrival order
+  std::vector<Entry> entries_;  // arrival order
+  // Scratch reused by every sweep, so the steady state never allocates.
+  std::vector<analysis::dover::Demand> demand_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace tsf::core

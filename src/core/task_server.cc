@@ -41,18 +41,20 @@ void TaskServer::servable_event_released(ServableAsyncEventHandler* handler,
   on_release(r);
 }
 
-void TaskServer::enable_dover(DOverParams dover) {
+void TaskServer::enable_dover(
+    double importance_ratio,
+    std::function<DOverQueue::JobMeta(const Request&)> meta) {
   TSF_ASSERT(queue_->empty(), "enable_dover on server " << params_.name()
                                   << " after requests were queued");
-  TSF_ASSERT(dover.meta, "enable_dover needs a job-meta callback");
+  TSF_ASSERT(meta, "enable_dover needs a job-meta callback");
   DOverQueue::Config config;
-  config.importance_ratio = dover.importance_ratio;
+  config.importance_ratio = importance_ratio;
   // Serving cost c on a bandwidth-limited server takes ~ c * period/capacity
   // of wall-clock virtual time — the scale of the feasibility test.
   config.bandwidth_num = params_.period().count();
   config.bandwidth_den = params_.capacity().count();
   config.now = [this] { return vm_.now(); };
-  config.meta = std::move(dover.meta);
+  config.meta = std::move(meta);
   config.on_admit = [this](const Request& r, bool takeover) {
     vm_.trace().record(vm_.now(), common::TraceKind::kAdmit,
                        r.handler->name(), r.release.ticks(),
@@ -76,7 +78,6 @@ void TaskServer::enable_dover(DOverParams dover) {
     record_shed(r, reason);
   };
   queue_ = std::make_unique<DOverQueue>(std::move(config));
-  dover_enabled_ = true;
 }
 
 void TaskServer::record_shed(const Request& request,

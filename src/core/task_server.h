@@ -75,17 +75,13 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   }
 
   // Swaps the pending queue for the D-over overload discipline
-  // (core/dover_queue.h): privileged-set admission on every release plus the
-  // LST takeover rule, with kAdmit/kDemote/kShed trace records and the
-  // exactly-once shed ledger emitted from here. `meta` maps a request to its
-  // scheduling value and firm deadline. Call before start() and before any
-  // release — the queue must still be empty.
-  struct DOverParams {
-    double importance_ratio = 1.0;  // k = dmax/dmin of value densities
-    std::function<DOverQueue::JobMeta(const Request&)> meta;
-  };
-  void enable_dover(DOverParams dover);
-  bool dover_enabled() const { return dover_enabled_; }
+  // (core/dover_queue.h), with kAdmit/kDemote/kShed trace records and the
+  // exactly-once shed ledger emitted from here. `importance_ratio` is k
+  // (analysis/dover.h); `meta` maps a request to its scheduling value and
+  // firm deadline. Call before start() and before any release — the queue
+  // must still be empty.
+  void enable_dover(double importance_ratio,
+                    std::function<DOverQueue::JobMeta(const Request&)> meta);
 
   // The utilization governor's shed hook (overload = shed): drops the
   // pending request matching (job, release) — removed from the queue,
@@ -205,7 +201,6 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   std::uint64_t dispatches_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<model::JobOutcome> outcomes_;
-  bool dover_enabled_ = false;
   std::uint64_t shed_count_ = 0;
   std::vector<model::ShedEvent> shed_events_;
 };

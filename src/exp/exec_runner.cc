@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dover.h"
 #include "common/diag.h"
 #include "common/rng.h"
 #include "core/background_server.h"
@@ -115,9 +116,6 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
   if (server_ != nullptr) {
     for (const auto& job : spec_.aperiodic_jobs) {
       const Duration actual = jittered_cost(jitter_rng, options, job.cost);
-      // The raw spec value (not effective_value): zero falls back to the
-      // declared cost inside the scheduling comparators, uniformly with
-      // pool/migrated jobs.
       build_job(job.name, job.effective_declared_cost(), actual, job.fires,
                 /*with_timer=*/!job.triggered, job.release, job.value,
                 /*stealable=*/job.affinity < 0, job.relative_deadline);
@@ -126,29 +124,21 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
 
   // overload = dover: swap the server's pending queue for the D-over
   // discipline before anything is released. The importance ratio k is the
-  // spread of value densities across this core's firm jobs — the paper's
-  // parameter of the (1+sqrt(k))^2 competitive bound.
+  // spread of value densities across this core's firm jobs, valued exactly
+  // as the queue values them.
   if (server_ != nullptr &&
       options.overload.mode == OverloadMode::kDover) {
-    double dmin = 0.0, dmax = 0.0;
-    for (const auto& job : spec_.aperiodic_jobs) {
-      if (job.relative_deadline.is_zero()) continue;
-      const double cost_tu = job.effective_declared_cost().to_tu();
-      if (cost_tu <= 0.0) continue;
-      const double density = job.effective_value() / cost_tu;
-      if (dmin == 0.0 || density < dmin) dmin = density;
-      if (density > dmax) dmax = density;
+    std::vector<analysis::dover::ValueCost> firm;
+    for (const auto& [name, info] : job_info_) {
+      if (info.relative_deadline.is_zero()) continue;
+      firm.push_back({info.value, info.declared.to_tu()});
     }
-    core::TaskServer::DOverParams dover;
-    dover.importance_ratio = dmin > 0.0 ? dmax / dmin : 1.0;
-    dover.meta = [this](const core::Request& r) {
-      const JobInfo& info = info_of(r);
-      core::DOverQueue::JobMeta meta;
-      meta.value = info.value == 0.0 ? info.declared.to_tu() : info.value;
-      meta.relative_deadline = info.relative_deadline;
-      return meta;
-    };
-    server_->enable_dover(std::move(dover));
+    server_->enable_dover(
+        analysis::dover::importance_ratio(firm),
+        [this](const core::Request& r) {
+          const JobInfo& info = info_of(r);
+          return core::DOverQueue::JobMeta{info.value, info.relative_deadline};
+        });
   }
 }
 
@@ -201,8 +191,9 @@ void ExecSystem::build_job(const std::string& name, common::Duration declared,
   events_.back()->add_handler(handlers_.back().get());
   events_by_job_[name] = events_.back().get();
   handlers_by_job_[name] = handlers_.back().get();
-  job_info_[name] =
-      JobInfo{declared, actual, fires, value, stealable, relative_deadline};
+  job_info_[name] = JobInfo{declared, actual, fires,
+                            value == 0.0 ? declared.to_tu() : value,
+                            stealable, relative_deadline};
   if (with_timer) {
     timers_.push_back(std::make_unique<rtsj::OneShotTimer>(
         vm_, release, events_.back().get()));
@@ -289,11 +280,8 @@ std::optional<StolenJob> ExecSystem::steal_pending() {
   auto request = server_->steal_pending_request(
       [&](const core::Request& r) { return info_of(r).stealable; },
       [&](const core::Request& a, const core::Request& b) {
-        const JobInfo& ia = info_of(a);
-        const JobInfo& ib = info_of(b);
-        const double va = ia.value == 0.0 ? ia.declared.to_tu() : ia.value;
-        const double vb = ib.value == 0.0 ? ib.declared.to_tu() : ib.value;
-        return schedules_before(va, a.release, a.handler->name(), vb,
+        return schedules_before(info_of(a).value, a.release,
+                                a.handler->name(), info_of(b).value,
                                 b.release, b.handler->name());
       });
   if (!request.has_value()) return std::nullopt;
@@ -348,7 +336,7 @@ std::vector<CoreEndpoint::ShedCandidate> ExecSystem::shed_candidates() const {
     c.job = r.handler->name();
     c.release = r.release;
     c.declared_cost = info.declared;
-    c.value = info.value == 0.0 ? info.declared.to_tu() : info.value;
+    c.value = info.value;
     c.relative_deadline = info.relative_deadline;
     out.push_back(std::move(c));
   });

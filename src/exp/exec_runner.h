@@ -158,7 +158,9 @@ class ExecSystem : public CoreEndpoint {
     common::Duration declared = common::Duration::zero();
     common::Duration actual = common::Duration::zero();
     std::string fires;
-    double value = 0.0;  // scheduling value (0 = declared cost)
+    // Scheduling value, resolved once by build_job: a zero spec value
+    // becomes the declared cost.
+    double value = 0.0;
     bool stealable = false;
     // Firm deadline relative to release; zero = soft (never shed).
     common::Duration relative_deadline = common::Duration::zero();

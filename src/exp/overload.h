@@ -11,8 +11,7 @@
 //           core whose measured utilization exceeds the threshold drops
 //           pending firm work in lowest-value-density-first order.
 // `dover` — Koren & Shasha's D-over discipline as the per-core pending
-//           queue: privileged-set feasibility test on arrival plus the LST
-//           takeover rule, 1/(1+sqrt(k))^2 competitive on value accrual.
+//           queue (core/dover_queue.h; rules in analysis/dover.h).
 #pragma once
 
 #include <optional>

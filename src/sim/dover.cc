@@ -1,8 +1,8 @@
 #include "sim/dover.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "analysis/dover.h"
 #include "common/diag.h"
 
 namespace tsf::sim {
@@ -18,32 +18,19 @@ struct Live {
   bool privileged = false;
 };
 
-double density(const DynJob& j) {
-  const double c = j.cost.to_tu();
-  return c <= 0.0 ? 1.0 : j.effective_value() / c;
-}
-
 }  // namespace
 
-DynResult simulate_dover(std::vector<DynJob> jobs,
-                         const DOverOptions& options) {
+DynResult simulate_dover(std::vector<DynJob> jobs) {
   DynResult result;
   result.outcomes.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     result.outcomes[i].name = jobs[i].name;
   }
-  if (jobs.empty()) return result;
-
-  double k = options.importance_ratio;
-  if (k <= 0.0) {
-    double dmin = density(jobs[0]), dmax = density(jobs[0]);
-    for (const auto& j : jobs) {
-      dmin = std::min(dmin, density(j));
-      dmax = std::max(dmax, density(j));
-    }
-    k = dmin <= 0.0 ? 1.0 : dmax / dmin;
+  std::vector<analysis::dover::ValueCost> densities;
+  for (const auto& j : jobs) {
+    densities.push_back({j.effective_value(), j.cost.to_tu()});
   }
-  const double takeover_factor = 1.0 + std::sqrt(k);
+  const double k = analysis::dover::importance_ratio(densities);
 
   std::vector<std::size_t> order(jobs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -52,59 +39,47 @@ DynResult simulate_dover(std::vector<DynJob> jobs,
                      return jobs[a].release < jobs[b].release;
                    });
 
-  std::vector<Live> live;  // privileged + waiting
+  std::vector<Live> live;          // privileged + waiting
+  std::vector<std::size_t> waiting;  // positions in live, EDF order
   std::size_t next = 0;
   TimePoint now = TimePoint::origin();
 
   auto lst = [&](const Live& l) -> TimePoint {
     return jobs[l.index].deadline - l.remaining;
   };
-  // Would the privileged set plus the running candidate be EDF-feasible if
-  // `cand` joined? Processor-demand check over deadlines.
-  auto feasible_with = [&](std::size_t cand_pos) {
-    std::vector<const Live*> set;
-    for (const auto& l : live) {
-      if (l.privileged) set.push_back(&l);
+  // Would the privileged set stay feasible on its remaining demand if the
+  // job at `cand_pos` joined it?
+  std::vector<analysis::dover::Demand> demand;
+  auto admissible = [&](std::size_t cand_pos) {
+    demand.clear();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].privileged || i == cand_pos) {
+        demand.push_back({jobs[live[i].index].deadline, live[i].remaining});
+      }
     }
-    set.push_back(&live[cand_pos]);
-    std::sort(set.begin(), set.end(), [&](const Live* a, const Live* b) {
-      return jobs[a->index].deadline < jobs[b->index].deadline;
-    });
-    Duration demand = Duration::zero();
-    for (const Live* l : set) {
-      demand += l->remaining;
-      if (now + demand > jobs[l->index].deadline) return false;
-    }
-    return true;
-  };
-  auto abandon = [&](std::size_t pos) {
-    result.outcomes[live[pos].index].abandoned = true;
-    ++result.missed;
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pos));
+    return analysis::dover::demand_feasible(now, demand);
   };
 
   while (next < order.size() || !live.empty()) {
     // Admit arrivals; each becomes privileged if the set stays feasible.
     while (next < order.size() && jobs[order[next]].release <= now) {
       live.push_back(Live{order[next], jobs[order[next]].cost, false});
-      live.back().privileged = feasible_with(live.size() - 1);
+      live.back().privileged = admissible(live.size() - 1);
       ++next;
     }
     // Re-admit waiting jobs (EDF order) while feasible — covers both the
     // idle case and slack freed by completions.
-    {
-      std::vector<std::size_t> waiting;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (!live[i].privileged) waiting.push_back(i);
-      }
-      std::sort(waiting.begin(), waiting.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return jobs[live[a].index].deadline <
-                         jobs[live[b].index].deadline;
-                });
-      for (std::size_t w : waiting) {
-        if (feasible_with(w)) live[w].privileged = true;
-      }
+    waiting.clear();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (!live[i].privileged) waiting.push_back(i);
+    }
+    std::sort(waiting.begin(), waiting.end(),
+              [&](std::size_t a, std::size_t b) {
+                return jobs[live[a].index].deadline <
+                       jobs[live[b].index].deadline;
+              });
+    for (std::size_t w : waiting) {
+      if (admissible(w)) live[w].privileged = true;
     }
 
     if (live.empty()) {
@@ -154,26 +129,20 @@ DynResult simulate_dover(std::vector<DynJob> jobs,
     // LST interrupts for waiting jobs.
     for (std::size_t i = live.size(); i-- > 0;) {
       if (live[i].privileged || lst(live[i]) > now) continue;
-      // Recompute the running job (indices shift as we erase).
-      run_pos = live.size();
       double privileged_value = 0.0;
-      for (std::size_t p = 0; p < live.size(); ++p) {
-        if (!live[p].privileged) continue;
-        privileged_value += jobs[live[p].index].effective_value();
-        if (run_pos == live.size() ||
-            jobs[live[p].index].deadline <
-                jobs[live[run_pos].index].deadline) {
-          run_pos = p;
-        }
+      for (const auto& p : live) {
+        if (p.privileged) privileged_value += jobs[p.index].effective_value();
       }
       const double challenger = jobs[live[i].index].effective_value();
-      if (challenger > takeover_factor * privileged_value) {
+      if (analysis::dover::takes_over(challenger, privileged_value, k)) {
         // Takeover: demote everyone, promote the challenger. Demoted jobs
         // whose LST has now passed will be abandoned on the next sweep.
         for (auto& l : live) l.privileged = false;
         live[i].privileged = true;
       } else {
-        abandon(i);
+        result.outcomes[live[i].index].abandoned = true;
+        ++result.missed;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
   }

@@ -1,24 +1,7 @@
-// D-OVER (Koren & Shasha, 1995) — optimal on-line scheduling for overloaded
-// firm-deadline systems; the third RTSS policy (§5).
-//
-// Behaviour implemented:
-//  - While the admitted ("privileged") set is EDF-feasible, schedule EDF;
-//    newly arrived jobs join it whenever the set stays feasible.
-//  - A job that cannot be admitted waits. When its latest start time
-//    (deadline - cost) expires, D-OVER makes the overload decision: the
-//    waiting job z takes over only if
-//        value(z) > (1 + sqrt(k)) * (value(running) + sum(privileged)),
-//    in which case the current running and privileged jobs are demoted to
-//    waiting; otherwise z is abandoned. k is the importance ratio (max/min
-//    value density); this test yields D-OVER's optimal competitive factor
-//    1/(1+sqrt(k))^2.
-//  - Jobs whose LST passes while waiting are abandoned (they could no
-//    longer complete even if started immediately).
-//
-// Simplification vs the original paper (documented in DESIGN.md): demoted
-// jobs re-enter through the same LST machinery rather than through the
-// original's ready-group bookkeeping; on an idle processor, waiting jobs are
-// re-admitted in EDF order when feasible.
+// D-OVER as an RTSS simulator policy (§5), applying analysis/dover.h.
+// Time model: preemptive EDF over the privileged set in continuous virtual
+// time, exact LST timers (deadline - remaining), feasibility on remaining
+// demand, and k derived from the whole job set.
 #pragma once
 
 #include <vector>
@@ -27,12 +10,6 @@
 
 namespace tsf::sim {
 
-struct DOverOptions {
-  // Importance ratio k; <= 0 means "derive from the job set".
-  double importance_ratio = 0.0;
-};
-
-DynResult simulate_dover(std::vector<DynJob> jobs,
-                         const DOverOptions& options = {});
+DynResult simulate_dover(std::vector<DynJob> jobs);
 
 }  // namespace tsf::sim

@@ -160,6 +160,7 @@ TEST(SpecFile, NonTimeNumbersCheckedByLine) {
       {"job", "affinity", "0", "0.5", "integer"},
       {"job", "value", "2.5", "nan", "finite"},
       {"job", "value", "2.5", "-inf", "finite"},
+      {"job", "value", "2.5", "-1", "non-negative"},
       {"run", "batch", "4", "1.5", "integer"},
       {"run", "rebalance_drift", "0.2", "nan", "finite"},
       {"run", "rebalance_drift", "0.2", "inf", "finite"},

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/dover_queue.h"
 #include "core/servable_async_event_handler.h"
 
 namespace tsf::core {
@@ -194,6 +197,109 @@ TEST(PendingQueueFactory, MakesEachDiscipline) {
             nullptr);
   EXPECT_NE(PendingQueue::make(model::QueueDiscipline::kListOfLists, tu(4)),
             nullptr);
+}
+
+// A DOverQueue on a full-bandwidth server of period 10 tu (demand is not
+// scaled; an entry is critical once its LST is within 10 tu), with a
+// settable clock and every callback appended to `log` in call order.
+class DOverHarness {
+ public:
+  explicit DOverHarness(double importance_ratio) {
+    DOverQueue::Config config;
+    config.importance_ratio = importance_ratio;
+    config.bandwidth_num = tu(10).count();
+    config.bandwidth_den = tu(10).count();
+    config.now = [this] { return now; };
+    config.meta = [this](const Request& r) {
+      return meta.at(r.handler->name());
+    };
+    config.on_admit = [this](const Request& r, bool takeover) {
+      log.push_back("admit " + r.handler->name() +
+                    (takeover ? " takeover" : ""));
+    };
+    config.on_demote = [this](const Request& r) {
+      log.push_back("demote " + r.handler->name());
+    };
+    config.on_shed = [this](const Request& r, const std::string& reason) {
+      log.push_back("shed " + r.handler->name() + " " + reason);
+    };
+    queue = std::make_unique<DOverQueue>(std::move(config));
+  }
+
+  // Releases job `name` at the current instant.
+  void release(const std::string& name, std::int64_t cost,
+               std::int64_t deadline, double value) {
+    meta[name] = DOverQueue::JobMeta{value, tu(deadline)};
+    Request r;
+    r.handler = pool.make(name, tu(cost));
+    r.release = now;
+    r.seq = seq++;
+    queue->push(r);
+  }
+
+  TimePoint now = TimePoint::origin();
+  std::vector<std::string> log;
+  std::unique_ptr<DOverQueue> queue;
+
+ private:
+  HandlerPool pool;
+  std::map<std::string, DOverQueue::JobMeta> meta;
+  std::uint64_t seq = 0;
+};
+
+using Log = std::vector<std::string>;
+
+TEST(DOverQueue, FeasibleReleasesAreAdmittedAndServedEdf) {
+  DOverHarness h(1.0);
+  h.release("late", 2, 9, 2.0);
+  h.release("soon", 2, 4, 2.0);
+  EXPECT_EQ(h.log, (Log{"admit late", "admit soon"}));
+  EXPECT_EQ(h.queue->privileged_count(), 2u);
+  EXPECT_EQ(h.queue->pop_fitting(fits_under(tu(10)))->handler->name(),
+            "soon");
+  EXPECT_EQ(h.queue->pop_fitting(fits_under(tu(10)))->handler->name(),
+            "late");
+  EXPECT_TRUE(h.queue->empty());
+}
+
+// p (4 tu by t=11) is privileged; c (9 tu by t=12) cannot join it and is
+// critical at once (LST 3 < now + period). Under k = 14/9 the takeover
+// factor is ~2.25, so c (value 14) beats p (value 4): p is demoted, c is
+// admitted with takeover, and p, now unable to rejoin, meets its own LST
+// decision against c and is shed.
+TEST(DOverQueue, LstTakeoverDemotesThePrivilegedSetThenAdmits) {
+  DOverHarness h(14.0 / 9.0);
+  h.now = TimePoint::origin() + tu(1);
+  h.release("p", 4, 10, 4.0);
+  h.now = TimePoint::origin() + tu(2);
+  h.release("c", 9, 10, 14.0);
+  EXPECT_EQ(h.log, (Log{"admit p", "demote p", "admit c takeover",
+                        "shed p lst"}));
+  EXPECT_EQ(h.queue->size(), 1u);
+  EXPECT_EQ(h.queue->privileged_count(), 1u);
+}
+
+// The same releases under k = 9 (factor 4): 14 does not beat 16, so the
+// challenger is shed at its LST decision and p keeps its place.
+TEST(DOverQueue, LstChallengerThatLosesIsShed) {
+  DOverHarness h(9.0);
+  h.now = TimePoint::origin() + tu(1);
+  h.release("p", 4, 10, 4.0);
+  h.now = TimePoint::origin() + tu(2);
+  h.release("c", 9, 10, 14.0);
+  EXPECT_EQ(h.log, (Log{"admit p", "shed c lst"}));
+  EXPECT_EQ(h.queue->privileged_count(), 1u);
+}
+
+// A privileged entry that was never served and whose LST has passed can no
+// longer make its deadline: it leaves the privileged set, then is shed.
+TEST(DOverQueue, PrivilegedEntryPastItsLstIsDemotedThenShed) {
+  DOverHarness h(1.0);
+  h.release("a", 4, 10, 4.0);
+  h.now = TimePoint::origin() + tu(7);  // LST was 6
+  EXPECT_FALSE(h.queue->pop_fitting(fits_under(tu(10))).has_value());
+  EXPECT_EQ(h.log, (Log{"admit a", "demote a", "shed a missed-lst"}));
+  EXPECT_TRUE(h.queue->empty());
 }
 
 }  // namespace

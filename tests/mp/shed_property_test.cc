@@ -115,5 +115,45 @@ TEST(ShedProperty, StormSeedsUnderAllModesKeepTheContract) {
   }
 }
 
+// The importance ratio k must value every job exactly as the D-over queue
+// does: a zero spec value falls back to the *declared* cost. Job d declares
+// 1 tu but costs 9, so valuing it at its actual cost would make its density
+// 9 (k = 9, takeover factor 4) and c's takeover of p (14 vs 4) would fail;
+// at its declared cost d has density 1, k = 14/9 and c takes over. The
+// declared cost must not move k.
+TEST(DOverImportanceRatio, ValuesJobsAtTheirDeclaredCost) {
+  const auto tu = [](double n) { return Duration::from_tu(n); };
+  for (const double declared : {1.0, 9.0}) {
+    SCOPED_TRACE("d declared = " + std::to_string(declared));
+    model::SystemSpec spec;
+    spec.name = "k_drift";
+    spec.cores = 2;
+    spec.server.policy = model::ServerPolicy::kPolling;
+    spec.server.capacity = tu(10);
+    spec.server.period = tu(10);
+    spec.horizon = common::TimePoint::origin() + tu(100);
+    const auto job = [&](const char* name, double release, double cost,
+                         double deadline) {
+      model::AperiodicJobSpec j;
+      j.name = name;
+      j.release = common::TimePoint::origin() + tu(release);
+      j.cost = tu(cost);
+      j.relative_deadline = tu(deadline);
+      j.affinity = 0;
+      return j;
+    };
+    spec.aperiodic_jobs.push_back(job("p", 1, 4, 10));
+    spec.aperiodic_jobs.push_back(job("c", 2, 9, 10));
+    spec.aperiodic_jobs.back().value = 14;
+    spec.aperiodic_jobs.push_back(job("d", 50, 9, 20));
+    spec.aperiodic_jobs.back().declared_cost = tu(declared);
+
+    MpRunOptions options;
+    options.exec.overload.mode = exp::OverloadMode::kDover;
+    const auto run = mp::run(spec, options);
+    EXPECT_EQ(run.takeovers, 1u);
+  }
+}
+
 }  // namespace
 }  // namespace tsf::mp

@@ -79,15 +79,17 @@ model::SystemSpec steady_spec() {
   return spec;
 }
 
-void expect_zero_alloc_world(int batch) {
+void expect_zero_alloc_world(
+    int batch, const model::SystemSpec& spec = steady_spec(),
+    exp::OverloadMode overload = exp::OverloadMode::kOff) {
   if (!testing::alloc_interposer_active()) {
     GTEST_SKIP() << "sanitizer build: interposer compiled out";
   }
-  const model::SystemSpec spec = steady_spec();
   exp::ExecOptions options;
   options.dispatch_overhead = Duration::from_tu(0.05);
   options.poll_overhead = Duration::from_tu(0.01);
   options.batch = batch;
+  options.overload.mode = overload;
 
   rtsj::vm::VirtualMachine vm(options.kernel);
   NullSink null_sink;
@@ -126,6 +128,15 @@ TEST(ZeroAllocSteadyState, PerCoreWorldPerEventDispatch) {
 
 TEST(ZeroAllocSteadyState, PerCoreWorldBatchedDispatch) {
   expect_zero_alloc_world(8);
+}
+
+// D-over's admission sweeps (feasibility, EDF ordering, dispatch) run on
+// every release and dispatch; with firm deadlines on every job they must
+// reuse their scratch buffers. Batch 1: D-over pins per-event dispatch.
+TEST(ZeroAllocSteadyState, PerCoreWorldDOverQueue) {
+  model::SystemSpec spec = steady_spec();
+  for (auto& job : spec.aperiodic_jobs) job.relative_deadline = tu(12);
+  expect_zero_alloc_world(1, spec, exp::OverloadMode::kDover);
 }
 
 TEST(ZeroAllocSteadyState, StagedFireMailboxRecyclesNodes) {

@@ -17,7 +17,7 @@ rtsj::RelativeTime declared(const Request& r) { return r.handler->cost(); }
 DOverQueue::DOverQueue(Config config) : config_(std::move(config)) {
   TSF_ASSERT(config_.bandwidth_num > 0 && config_.bandwidth_den > 0,
              "dover queue needs a positive server bandwidth");
-  TSF_ASSERT(config_.now && config_.meta && config_.on_admit &&
+  TSF_ASSERT(config_.now && config_.on_admit &&
                  config_.on_demote && config_.on_shed,
              "dover queue needs every callback wired");
 }
@@ -58,11 +58,10 @@ std::optional<Request> DOverQueue::take(std::size_t i) {
 }
 
 void DOverQueue::push(Request r) {
-  const JobMeta meta = config_.meta(r);
+  const rtsj::RelativeTime relative = r.handler->relative_deadline();
   const rtsj::AbsoluteTime deadline =
-      meta.relative_deadline.is_zero() ? rtsj::AbsoluteTime::never()
-                                       : r.release + meta.relative_deadline;
-  entries_.push_back(Entry{std::move(r), deadline, meta.value});
+      relative.is_zero() ? rtsj::AbsoluteTime::never() : r.release + relative;
+  entries_.push_back(Entry{std::move(r), deadline});
   reconcile();
 }
 
@@ -126,10 +125,11 @@ void DOverQueue::reconcile() {
         double privileged_value = 0.0;
         for (const auto& p : entries_) {
           if (p.privileged && !p.deadline.is_never()) {
-            privileged_value += p.value;
+            privileged_value += p.request.handler->value();
           }
         }
-        if (analysis::dover::takes_over(e.value, privileged_value,
+        if (analysis::dover::takes_over(e.request.handler->value(),
+                                        privileged_value,
                                         config_.importance_ratio)) {
           for (auto& p : entries_) {
             if (p.privileged && !p.deadline.is_never()) {
@@ -189,8 +189,19 @@ std::optional<Request> DOverQueue::steal(const StealEligibleFn& eligible,
   return take(best);
 }
 
-void DOverQueue::visit(const std::function<void(const Request&)>& fn) const {
+void DOverQueue::visit(const VisitFn& fn) const {
   for (const auto& e : entries_) fn(e.request);
+}
+
+void DOverQueue::remove_seqs(std::span<const std::uint64_t> seqs) {
+  const auto listed = [&](const Entry& e) {
+    return std::binary_search(seqs.begin(), seqs.end(), e.request.seq);
+  };
+  for (const auto& e : entries_) {
+    if (e.privileged && listed(e)) config_.on_demote(e.request);
+  }
+  entries_.erase(std::remove_if(entries_.begin(), entries_.end(), listed),
+                 entries_.end());
 }
 
 std::size_t DOverQueue::privileged_count() const {

@@ -7,8 +7,9 @@
 // wall-clock service time on the bandwidth-limited server. A waiting entry
 // is decided once its LST falls within one server period, and only once:
 // an entry demoted after its takeover is shed at its next critical
-// instant. Entries with a zero relative deadline are soft: always admitted,
-// never shed.
+// instant. Each entry's value and relative deadline are read off its
+// handler (ServableAsyncEventHandler::value / relative_deadline); a zero
+// relative deadline makes it soft: always admitted, never shed.
 //
 // Admission, demotion and shedding are reported through callbacks so the
 // owning TaskServer can emit the kAdmit/kDemote/kShed trace records and the
@@ -26,12 +27,6 @@ namespace tsf::core {
 
 class DOverQueue : public PendingQueue {
  public:
-  struct JobMeta {
-    double value = 0.0;
-    // Zero = soft (no deadline).
-    rtsj::RelativeTime relative_deadline = rtsj::RelativeTime::zero();
-  };
-
   struct Config {
     // k: max/min ratio of value densities across the job set (>= 1).
     double importance_ratio = 1.0;
@@ -40,7 +35,6 @@ class DOverQueue : public PendingQueue {
     std::int64_t bandwidth_num = 1;
     std::int64_t bandwidth_den = 1;
     std::function<rtsj::AbsoluteTime()> now;
-    std::function<JobMeta(const Request&)> meta;
     // takeover = admitted by demoting the privileged set.
     std::function<void(const Request&, bool takeover)> on_admit;
     std::function<void(const Request&)> on_demote;
@@ -64,7 +58,10 @@ class DOverQueue : public PendingQueue {
   TSF_BARRIER_ONLY
   std::optional<Request> steal(const StealEligibleFn& eligible,
                                const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void visit(const VisitFn& fn) const override;
+  // A privileged entry is demoted before it leaves, as steal does.
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  void remove_seqs(std::span<const std::uint64_t> seqs) override;
 
   std::size_t privileged_count() const;
 
@@ -72,7 +69,6 @@ class DOverQueue : public PendingQueue {
   struct Entry {
     Request request;
     rtsj::AbsoluteTime deadline;  // never() = soft
-    double value = 0.0;
     bool privileged = false;
     bool lst_fired = false;  // the one LST decision was made
   };

@@ -27,6 +27,18 @@ std::optional<Request> steal_from(RequestDeque& q,
   q.erase(best);
   return r;
 }
+
+bool listed(std::span<const std::uint64_t> seqs, const Request& r) {
+  return std::binary_search(seqs.begin(), seqs.end(), r.seq);
+}
+
+// Shared remove_seqs pass over one deque: a stable compaction, so the
+// survivors keep their relative order.
+void remove_listed(RequestDeque& q, std::span<const std::uint64_t> seqs) {
+  q.erase(std::remove_if(q.begin(), q.end(),
+                         [&](const Request& r) { return listed(seqs, r); }),
+          q.end());
+}
 }  // namespace
 
 std::unique_ptr<PendingQueue> PendingQueue::make(
@@ -61,9 +73,12 @@ std::optional<Request> StrictFifoQueue::steal(const StealEligibleFn& eligible,
   return steal_from(q_, eligible, before);
 }
 
-void StrictFifoQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void StrictFifoQueue::visit(const VisitFn& fn) const {
   for (const auto& r : q_) fn(r);
+}
+
+void StrictFifoQueue::remove_seqs(std::span<const std::uint64_t> seqs) {
+  remove_listed(q_, seqs);
 }
 
 std::optional<Request> FifoFirstFitQueue::pop_fitting(const FitsFn& fits) {
@@ -88,9 +103,12 @@ std::optional<Request> FifoFirstFitQueue::steal(
   return steal_from(q_, eligible, before);
 }
 
-void FifoFirstFitQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void FifoFirstFitQueue::visit(const VisitFn& fn) const {
   for (const auto& r : q_) fn(r);
+}
+
+void FifoFirstFitQueue::remove_seqs(std::span<const std::uint64_t> seqs) {
+  remove_listed(q_, seqs);
 }
 
 ListOfListsQueue::ListOfListsQueue(rtsj::RelativeTime capacity,
@@ -193,12 +211,24 @@ std::optional<Request> ListOfListsQueue::steal(
   return std::nullopt;  // unreachable: the winner was just seen above
 }
 
-void ListOfListsQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void ListOfListsQueue::visit(const VisitFn& fn) const {
   for (const auto& r : active_) fn(r);
   for (const auto& bucket : buckets_) {
     for (const auto& r : bucket.items) fn(r);
   }
+}
+
+void ListOfListsQueue::remove_seqs(std::span<const std::uint64_t> seqs) {
+  remove_listed(active_, seqs);
+  for (auto& bucket : buckets_) {
+    for (const auto& r : bucket.items) {
+      if (listed(seqs, r)) bucket.load -= declared(r);
+    }
+    remove_listed(bucket.items, seqs);
+  }
+  buckets_.erase(std::remove_if(buckets_.begin(), buckets_.end(),
+                                [](const Bucket& b) { return b.items.empty(); }),
+                 buckets_.end());
 }
 
 void ListOfListsQueue::begin_instance() {

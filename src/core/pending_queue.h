@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/annotations.h"
@@ -44,6 +44,9 @@ using FitsFn = common::FunctionRef<bool(rtsj::RelativeTime declared_cost)>;
 using StealEligibleFn = common::FunctionRef<bool(const Request&)>;
 using StealBeforeFn =
     common::FunctionRef<bool(const Request&, const Request&)>;
+// Read-only walkers (visit): non-owning, so a boundary pass walking the
+// queue never heap-allocates a closure.
+using VisitFn = common::FunctionRef<void(const Request&)>;
 
 // The request containers: deque chunks come from the owning server's arena
 // (freelist-recycled, so steady-state push/pop touches no heap); with a
@@ -92,7 +95,13 @@ class PendingQueue {
   // like steal does). The online rebalancer snapshots queues through this
   // before deciding what — if anything — to move, so nothing is ever
   // popped and re-pushed just to be put back.
-  virtual void visit(const std::function<void(const Request&)>& fn) const = 0;
+  virtual void visit(const VisitFn& fn) const = 0;
+  // Removes, in one walk, every request visit() reaches whose seq is in
+  // `seqs` (sorted ascending); every other request keeps its place. The
+  // removal half of the overload governor's shed pass
+  // (TaskServer::shed_lowest_density).
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  virtual void remove_seqs(std::span<const std::uint64_t> seqs) = 0;
   // Called by instance-based servers at each activation; only the
   // list-of-lists queue reacts (it rotates to the next instance bucket).
   TSF_REALTIME
@@ -123,7 +132,9 @@ class StrictFifoQueue : public PendingQueue {
   TSF_BARRIER_ONLY
   std::optional<Request> steal(const StealEligibleFn& eligible,
                                const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void visit(const VisitFn& fn) const override;
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  void remove_seqs(std::span<const std::uint64_t> seqs) override;
 
  private:
   RequestDeque q_;
@@ -147,7 +158,9 @@ class FifoFirstFitQueue : public PendingQueue {
   TSF_BARRIER_ONLY
   std::optional<Request> steal(const StealEligibleFn& eligible,
                                const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void visit(const VisitFn& fn) const override;
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  void remove_seqs(std::span<const std::uint64_t> seqs) override;
 
  private:
   RequestDeque q_;
@@ -187,7 +200,11 @@ class ListOfListsQueue : public PendingQueue {
                                const StealBeforeFn& before) override;
   // Active list, then every future bucket; parked unservable requests are
   // skipped (they are outside steal's reach too).
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void visit(const VisitFn& fn) const override;
+  // Same reach as visit; bucket loads are adjusted and emptied buckets
+  // dropped, exactly as steal leaves them.
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  void remove_seqs(std::span<const std::uint64_t> seqs) override;
   // Rotates: unserved leftovers of the active list are re-registered, then
   // the first future bucket becomes the active list.
   TSF_REALTIME

@@ -47,6 +47,15 @@ class ServableAsyncEventHandler {
   rtsj::RelativeTime cost() const { return declared_cost_; }
   void set_cost(rtsj::RelativeTime c) { declared_cost_ = c; }
 
+  // Scheduling value, already resolved by the owner (a zero spec value
+  // means "the declared cost"): the currency of D-over, the steal order and
+  // the shedding governor's value density.
+  double value() const { return value_; }
+  void set_value(double v) { value_ = v; }
+  // Firm deadline relative to release; zero = soft (never shed).
+  rtsj::RelativeTime relative_deadline() const { return relative_deadline_; }
+  void set_relative_deadline(rtsj::RelativeTime d) { relative_deadline_ = d; }
+
   // Unique server association (paper: "associated with a unique TaskServer").
   void set_server(TaskServer* server) { server_ = server; }
   TaskServer* server() const { return server_; }
@@ -57,6 +66,8 @@ class ServableAsyncEventHandler {
   std::string name_;
   rtsj::RelativeTime declared_cost_;
   Logic logic_;
+  double value_ = 0.0;
+  rtsj::RelativeTime relative_deadline_ = rtsj::RelativeTime::zero();
   TaskServer* server_ = nullptr;
 };
 

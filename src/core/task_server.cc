@@ -1,5 +1,7 @@
 #include "core/task_server.h"
 
+#include <algorithm>
+
 #include "common/diag.h"
 
 namespace tsf::core {
@@ -19,6 +21,7 @@ TaskServer::TaskServer(rtsj::vm::VirtualMachine& machine,
 
 void TaskServer::reserve(std::size_t expected_requests) {
   outcomes_.reserve(expected_requests);
+  shed_events_.reserve(expected_requests);
 }
 
 void TaskServer::servable_event_released(
@@ -41,12 +44,9 @@ void TaskServer::servable_event_released(ServableAsyncEventHandler* handler,
   on_release(r);
 }
 
-void TaskServer::enable_dover(
-    double importance_ratio,
-    std::function<DOverQueue::JobMeta(const Request&)> meta) {
+void TaskServer::enable_dover(double importance_ratio) {
   TSF_ASSERT(queue_->empty(), "enable_dover on server " << params_.name()
                                   << " after requests were queued");
-  TSF_ASSERT(meta, "enable_dover needs a job-meta callback");
   DOverQueue::Config config;
   config.importance_ratio = importance_ratio;
   // Serving cost c on a bandwidth-limited server takes ~ c * period/capacity
@@ -54,7 +54,6 @@ void TaskServer::enable_dover(
   config.bandwidth_num = params_.period().count();
   config.bandwidth_den = params_.capacity().count();
   config.now = [this] { return vm_.now(); };
-  config.meta = std::move(meta);
   config.on_admit = [this](const Request& r, bool takeover) {
     vm_.trace().record(vm_.now(), common::TraceKind::kAdmit,
                        r.handler->name(), r.release.ticks(),
@@ -81,7 +80,7 @@ void TaskServer::enable_dover(
 }
 
 void TaskServer::record_shed(const Request& request,
-                             const std::string& reason) {
+                             std::string_view reason) {
   ++shed_count_;
   model::JobOutcome out;
   out.name = request.handler->name();
@@ -101,20 +100,61 @@ void TaskServer::record_shed(const Request& request,
   shed_events_.push_back(std::move(ev));
 }
 
-bool TaskServer::shed_pending_request(const std::string& job,
-                                      rtsj::AbsoluteTime release) {
-  // The same mid-bind guard as stealing: a request released at this very
-  // boundary instant still has its server wake-up in flight.
+bool TaskServer::sheds_before(const Sheddable& a, const Sheddable& b) {
+  if (a.density != b.density) return a.density < b.density;
+  if (a.request.release != b.request.release) {
+    return a.request.release < b.request.release;
+  }
+  const std::string& name_a = a.request.handler->name();
+  const std::string& name_b = b.request.handler->name();
+  if (name_a != name_b) return name_a < name_b;
+  return a.position < b.position;
+}
+
+std::size_t TaskServer::shed_lowest_density(double budget_tu) {
   const rtsj::AbsoluteTime now = vm_.now();
-  std::optional<Request> taken = queue_->steal(
-      [&](const Request& r) {
-        return r.release < now && r.release == release &&
-               r.handler->name() == job;
-      },
-      [](const Request&, const Request&) { return false; });
-  if (!taken.has_value()) return false;
-  record_shed(*taken, "overload");
-  return true;
+  sheddable_.clear();
+  std::size_t position = 0;
+  queue_->visit([&](const Request& r) {
+    const std::size_t at = position++;
+    if (r.handler->relative_deadline().is_zero() || r.release >= now) return;
+    // Lowest value density first frees the overshoot's worth of declared
+    // cost while giving up the least scheduling value — the ordering
+    // D-over's competitive argument is built on.
+    const double density =
+        r.handler->value() / std::max(1.0, r.handler->cost().to_tu());
+    sheddable_.push_back(Sheddable{density, r, at});
+  });
+
+  // A heap pops the shed prefix in sheds_before order without ordering the
+  // rest of the backlog; popped entries collect at the back.
+  const auto sheds_after = [](const Sheddable& a, const Sheddable& b) {
+    return sheds_before(b, a);
+  };
+  std::make_heap(sheddable_.begin(), sheddable_.end(), sheds_after);
+  auto heap_end = sheddable_.end();
+  double removed_tu = 0.0;
+  while (heap_end != sheddable_.begin() && removed_tu < budget_tu) {
+    std::pop_heap(sheddable_.begin(), heap_end, sheds_after);
+    --heap_end;
+    removed_tu += heap_end->request.handler->cost().to_tu();
+  }
+  if (heap_end == sheddable_.end()) return 0;
+
+  // Sized with sheddable_, so it only ever grows when the backlog did.
+  shed_seqs_.reserve(sheddable_.capacity());
+  shed_seqs_.clear();
+  for (auto it = heap_end; it != sheddable_.end(); ++it) {
+    shed_seqs_.push_back(it->request.seq);
+  }
+  std::sort(shed_seqs_.begin(), shed_seqs_.end());
+  queue_->remove_seqs(shed_seqs_);
+  // The back holds the shed prefix in reverse pop order.
+  for (auto it = sheddable_.end(); it != heap_end;) {
+    --it;
+    record_shed(it->request, "overload");
+  }
+  return static_cast<std::size_t>(sheddable_.end() - heap_end);
 }
 
 std::optional<Request> TaskServer::steal_pending_request(

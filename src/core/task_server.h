@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
@@ -70,26 +71,28 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   // steal_pending_request, including requests the mid-bind rule would
   // reject) — the online rebalancer snapshots pending work through this
   // before deciding what to move.
-  void visit_pending(const std::function<void(const Request&)>& fn) const {
-    queue_->visit(fn);
-  }
+  void visit_pending(const VisitFn& fn) const { queue_->visit(fn); }
 
   // Swaps the pending queue for the D-over overload discipline
   // (core/dover_queue.h), with kAdmit/kDemote/kShed trace records and the
   // exactly-once shed ledger emitted from here. `importance_ratio` is k
-  // (analysis/dover.h); `meta` maps a request to its scheduling value and
-  // firm deadline. Call before start() and before any release — the queue
-  // must still be empty.
-  void enable_dover(double importance_ratio,
-                    std::function<DOverQueue::JobMeta(const Request&)> meta);
+  // (analysis/dover.h); each job's value and firm deadline come from its
+  // handler. Call before start() and before any release — the queue must
+  // still be empty.
+  void enable_dover(double importance_ratio);
 
-  // The utilization governor's shed hook (overload = shed): drops the
-  // pending request matching (job, release) — removed from the queue,
-  // outcome marked shed, kShed trace record and ledger event emitted with
-  // reason "overload". Returns false when no such request is pending.
-  TSF_BARRIER_ONLY
-  bool shed_pending_request(const std::string& job,
-                            rtsj::AbsoluteTime release);
+  // The utilization governor's shed pass (overload = shed). Sheddable
+  // requests are firm (non-zero relative deadline) and released strictly
+  // before now — a boundary-coincident release is still mid-bind, as for
+  // stealing. Taken lowest value density first (value / max(1 tu, declared
+  // cost); ties by earlier release, then name, then queue order) while the
+  // declared cost removed so far is below `budget_tu`. Each is removed from
+  // the queue, its outcome marked shed, and its kShed trace record and
+  // ledger event emitted with reason "overload", in that order. Returns how
+  // many were shed. One walk over the queue plus a heap over the sheddable
+  // ones: only the shed prefix is ever ordered.
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  std::size_t shed_lowest_density(double budget_tu);
 
   // Every overload decision taken on this server, in decision order — the
   // exactly-once ledger half the invariant checker reconciles.
@@ -144,10 +147,10 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   const rtsj::vm::VirtualMachine& machine() const { return vm_; }
 
  public:
-  // Pre-sizes the outcome ledgers for an expected request count so the
-  // steady-state serve loop never grows a vector mid-run (the zero-alloc
-  // contract the interposer test asserts). Optional; vectors still grow
-  // past the reservation as usual.
+  // Pre-sizes the outcome and shed ledgers for an expected request count
+  // so the steady-state serve loop and shed passes never grow a vector
+  // mid-run (the zero-alloc contract the interposer test asserts).
+  // Optional; vectors still grow past the reservation as usual.
   void reserve(std::size_t expected_requests);
 
  protected:
@@ -183,7 +186,7 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
 
   // Shared shed bookkeeping (dover callbacks + the governor hook): outcome,
   // trace record and ledger event, exactly once per dropped request.
-  void record_shed(const Request& request, const std::string& reason);
+  void record_shed(const Request& request, std::string_view reason);
 
   rtsj::vm::VirtualMachine& vm_;
   TaskServerParameters params_;
@@ -203,6 +206,17 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   std::vector<model::JobOutcome> outcomes_;
   std::uint64_t shed_count_ = 0;
   std::vector<model::ShedEvent> shed_events_;
+
+ private:
+  // shed_lowest_density scratch, reused every pass.
+  struct Sheddable {
+    double density = 0.0;
+    Request request;
+    std::size_t position = 0;  // queue order, the last tie-break
+  };
+  static bool sheds_before(const Sheddable& a, const Sheddable& b);
+  std::vector<Sheddable> sheddable_;
+  std::vector<std::uint64_t> shed_seqs_;
 };
 
 }  // namespace tsf::core

@@ -5,9 +5,13 @@
 // boundaries. This header holds the vocabulary shared by both sides of that
 // boundary: the per-core *port* a handler posts into (implemented by
 // mp::ChannelFabric), and the per-core *endpoint* the fabric delivers into
-// (implemented by exp::ExecSystem). Keeping the interfaces here — below the
-// mp layer — lets the exec runner stay ignorant of mailboxes, epochs and
-// routing while the fabric stays ignorant of servers, fibers and timers.
+// (implemented by exp::ExecSystem). The endpoint also carries the boundary
+// policies' hooks into a core: stealing, load sensing, online admission and
+// the overload governor's shed pass (shed_lowest_density, one call per
+// overloaded core per pass; the shed order itself lives in
+// core::TaskServer). Keeping the interfaces here — below the mp layer —
+// lets the exec runner stay ignorant of mailboxes, epochs and routing while
+// the fabric stays ignorant of servers, fibers and timers.
 #pragma once
 
 #include <cstddef>
@@ -167,29 +171,15 @@ class CoreEndpoint {
   // --- overload shedding (mp::OverloadGovernor; defaults keep plain
   //     endpoints working unchanged)
 
-  // A pending firm request the governor may drop: identity plus the fields
-  // its lowest-value-density-first ordering needs.
-  struct ShedCandidate {
-    std::string job;
-    common::TimePoint release = common::TimePoint::never();
-    common::Duration declared_cost = common::Duration::zero();
-    double value = 0.0;
-    common::Duration relative_deadline = common::Duration::zero();
-  };
-  // Read-only copies of every pending request the governor could shed right
-  // now: firm (non-zero relative deadline), released strictly before the
-  // current instant, and not currently being served. Queue order.
-  TSF_BARRIER_ONLY
-  virtual std::vector<ShedCandidate> shed_candidates() const { return {}; }
-  // Drops the specific pending request the snapshot promised (matched by
-  // (job, release)): removes it from the queue, records the shed outcome,
-  // the kShed trace record and the ledger event. Returns false if the
-  // request is no longer pending.
-  TSF_BARRIER_ONLY
-  virtual bool shed_exact(const std::string& job, common::TimePoint release) {
-    (void)job;
-    (void)release;
-    return false;
+  // Drops pending firm requests, lowest value density first, until at
+  // least `budget_tu` of declared cost is gone (the order and reach are
+  // core::TaskServer::shed_lowest_density's): each one is removed from the
+  // queue and gets its shed outcome, kShed trace record and ledger event.
+  // Returns how many were shed.
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  virtual std::size_t shed_lowest_density(double budget_tu) {
+    (void)budget_tu;
+    return 0;
   }
 };
 

@@ -125,20 +125,15 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
   // overload = dover: swap the server's pending queue for the D-over
   // discipline before anything is released. The importance ratio k is the
   // spread of value densities across this core's firm jobs, valued exactly
-  // as the queue values them.
+  // as the queue values them (off their handlers).
   if (server_ != nullptr &&
       options.overload.mode == OverloadMode::kDover) {
     std::vector<analysis::dover::ValueCost> firm;
-    for (const auto& [name, info] : job_info_) {
-      if (info.relative_deadline.is_zero()) continue;
-      firm.push_back({info.value, info.declared.to_tu()});
+    for (const auto& [name, handler] : handlers_by_job_) {
+      if (handler->relative_deadline().is_zero()) continue;
+      firm.push_back({handler->value(), handler->cost().to_tu()});
     }
-    server_->enable_dover(
-        analysis::dover::importance_ratio(firm),
-        [this](const core::Request& r) {
-          const JobInfo& info = info_of(r);
-          return core::DOverQueue::JobMeta{info.value, info.relative_deadline};
-        });
+    server_->enable_dover(analysis::dover::importance_ratio(firm));
   }
 }
 
@@ -186,14 +181,15 @@ void ExecSystem::build_job(const std::string& name, common::Duration declared,
   handlers_.push_back(std::make_unique<core::ServableAsyncEventHandler>(
       name, declared, std::move(logic)));
   handlers_.back()->set_server(server_.get());
+  // A zero spec value means "the declared cost".
+  handlers_.back()->set_value(value == 0.0 ? declared.to_tu() : value);
+  handlers_.back()->set_relative_deadline(relative_deadline);
   events_.push_back(
       std::make_unique<core::ServableAsyncEvent>(vm_, name + ".e"));
   events_.back()->add_handler(handlers_.back().get());
   events_by_job_[name] = events_.back().get();
   handlers_by_job_[name] = handlers_.back().get();
-  job_info_[name] = JobInfo{declared, actual, fires,
-                            value == 0.0 ? declared.to_tu() : value,
-                            stealable, relative_deadline};
+  job_info_[name] = JobInfo{actual, fires, stealable};
   if (with_timer) {
     timers_.push_back(std::make_unique<rtsj::OneShotTimer>(
         vm_, release, events_.back().get()));
@@ -266,11 +262,11 @@ StolenJob ExecSystem::to_stolen(const core::Request& r) const {
   const JobInfo& info = info_of(r);
   StolenJob stolen;
   stolen.job.name = r.handler->name();
-  stolen.job.declared_cost = info.declared;
+  stolen.job.declared_cost = r.handler->cost();
   stolen.job.actual_cost = info.actual;
   stolen.job.fires = info.fires;
-  stolen.job.value = info.value;
-  stolen.job.relative_deadline = info.relative_deadline;
+  stolen.job.value = r.handler->value();
+  stolen.job.relative_deadline = r.handler->relative_deadline();
   stolen.release = r.release;
   return stolen;
 }
@@ -280,8 +276,8 @@ std::optional<StolenJob> ExecSystem::steal_pending() {
   auto request = server_->steal_pending_request(
       [&](const core::Request& r) { return info_of(r).stealable; },
       [&](const core::Request& a, const core::Request& b) {
-        return schedules_before(info_of(a).value, a.release,
-                                a.handler->name(), info_of(b).value,
+        return schedules_before(a.handler->value(), a.release,
+                                a.handler->name(), b.handler->value(),
                                 b.release, b.handler->name());
       });
   if (!request.has_value()) return std::nullopt;
@@ -322,31 +318,8 @@ common::Duration ExecSystem::released_cost() const {
   return server_ != nullptr ? server_->released_cost() : common::Duration::zero();
 }
 
-std::vector<CoreEndpoint::ShedCandidate> ExecSystem::shed_candidates() const {
-  std::vector<ShedCandidate> out;
-  if (server_ == nullptr) return out;
-  const common::TimePoint now = vm_.now();
-  server_->visit_pending([&](const core::Request& r) {
-    // Sheddable = firm (carries a deadline) and released strictly before
-    // this boundary instant — a boundary-coincident release is still
-    // mid-bind, exactly like the steal guard.
-    const JobInfo& info = info_of(r);
-    if (info.relative_deadline.is_zero() || r.release >= now) return;
-    ShedCandidate c;
-    c.job = r.handler->name();
-    c.release = r.release;
-    c.declared_cost = info.declared;
-    c.value = info.value;
-    c.relative_deadline = info.relative_deadline;
-    out.push_back(std::move(c));
-  });
-  return out;
-}
-
-bool ExecSystem::shed_exact(const std::string& job,
-                            common::TimePoint release) {
-  if (server_ == nullptr) return false;
-  return server_->shed_pending_request(job, release);
+std::size_t ExecSystem::shed_lowest_density(double budget_tu) {
+  return server_ != nullptr ? server_->shed_lowest_density(budget_tu) : 0;
 }
 
 bool ExecSystem::admit_task(const model::PeriodicTaskSpec& task) {

@@ -143,27 +143,19 @@ class ExecSystem : public CoreEndpoint {
   double periodic_utilization() const override { return periodic_util_; }
   TSF_BARRIER_ONLY
   bool admit_task(const model::PeriodicTaskSpec& task) override;
-  TSF_BARRIER_ONLY
-  std::vector<ShedCandidate> shed_candidates() const override;
-  TSF_BARRIER_ONLY
-  bool shed_exact(const std::string& job,
-                  common::TimePoint release) override;
+  TSF_BARRIER_ONLY TSF_NO_ALLOC
+  std::size_t shed_lowest_density(double budget_tu) override;
 
  private:
-  // What deliver_job / steal_pending need to rebuild a job elsewhere: the
-  // identity build_job was given, plus whether the work stealer may take a
-  // pending release of it (spec affinity == -1; delivered jobs are always
-  // unpinned by construction).
+  // What deliver_job / steal_pending need to rebuild a job elsewhere
+  // beyond what its handler carries (name, declared cost, value, firm
+  // deadline): the actual cost and fires target build_job was given, plus
+  // whether the work stealer may take a pending release of it (spec
+  // affinity == -1; delivered jobs are always unpinned by construction).
   struct JobInfo {
-    common::Duration declared = common::Duration::zero();
     common::Duration actual = common::Duration::zero();
     std::string fires;
-    // Scheduling value, resolved once by build_job: a zero spec value
-    // becomes the declared cost.
-    double value = 0.0;
     bool stealable = false;
-    // Firm deadline relative to release; zero = soft (never shed).
-    common::Duration relative_deadline = common::Duration::zero();
   };
 
   const JobInfo& info_of(const core::Request& r) const;

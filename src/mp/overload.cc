@@ -1,6 +1,5 @@
 #include "mp/overload.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/diag.h"
@@ -47,56 +46,28 @@ OverloadGovernor::OverloadGovernor(exp::OverloadConfig config,
   for (const auto& core : partition.cores) serves_.push_back(core.has_server);
 }
 
-bool OverloadGovernor::shed_pass(TimePoint boundary) {
+bool OverloadGovernor::shed_pass() {
   const std::vector<double>& measured = meter_.utilization();
   bool ran = false;
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
     if (!serves_[c]) continue;
     if (measured[c] <= config_.threshold) continue;
-    exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
     ran = true;
-
-    auto candidates = endpoint->shed_candidates();
-    if (candidates.empty()) continue;
-    // Lowest value density first: shedding frees the overshoot's worth of
-    // declared cost while giving up the least scheduling value — the same
-    // value-density ordering D-over's competitive argument is built on.
-    // Ties break on (release, name) so the pass is deterministic for any
-    // candidate enumeration order.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const exp::CoreEndpoint::ShedCandidate& a,
-                 const exp::CoreEndpoint::ShedCandidate& b) {
-                const double da =
-                    a.value / std::max(1.0, a.declared_cost.to_tu());
-                const double db =
-                    b.value / std::max(1.0, b.declared_cost.to_tu());
-                if (da != db) return da < db;
-                if (a.release != b.release) return a.release < b.release;
-                return a.job < b.job;
-              });
-
     // Budget: the overshoot rate sustained over one measurement window of
     // declared cost. Shedding more would throw away work a <=threshold core
     // could still serve; shedding less leaves the core re-triggering every
     // pass with the same backlog.
     const double overshoot = measured[c] - config_.threshold;
-    const double budget_tu = overshoot * config_.period.to_tu();
-    double removed_tu = 0.0;
-    for (const auto& cand : candidates) {
-      if (removed_tu >= budget_tu) break;
-      if (!endpoint->shed_exact(cand.job, cand.release)) continue;
-      removed_tu += cand.declared_cost.to_tu();
-      ++sheds_;
-    }
+    sheds_ += fabric_.endpoint(c)->shed_lowest_density(
+        overshoot * config_.period.to_tu());
   }
-  (void)boundary;
   return ran;
 }
 
 void OverloadGovernor::on_epoch(TimePoint boundary) {
   meter_.sample(boundary);
   if (boundary - last_pass_ < config_.period) return;
-  if (shed_pass(boundary)) {
+  if (shed_pass()) {
     ++passes_;
     last_pass_ = boundary;
   }

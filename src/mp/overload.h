@@ -7,13 +7,17 @@
 // never on host scheduling. Per epoch it measures each core's utilization
 // with the rebalancer's LoadMeter (mp/load_meter.h) over a window of
 // `period`; when a core's measured utilization
-// exceeds `threshold`, the pass drops pending *sheddable* work — firm
-// (deadline-carrying), released before the boundary, not being served — in
-// lowest-value-density-first order until the overshoot's worth of declared
-// cost is gone. Every drop goes through CoreEndpoint::shed_exact, which
-// records the shed outcome, the kShed trace record and the exactly-once
-// ledger entry the invariant checker reconciles
-// (FORBIDDEN_BEHAVIOR_CATALOG.md).
+// exceeds `threshold`, the pass hands that core a budget — the overshoot's
+// worth of declared cost over one window — and the core's
+// CoreEndpoint::shed_lowest_density drops pending *sheddable* work — firm
+// (deadline-carrying), released before the boundary, not being served —
+// lowest value density first until the budget is spent, recording the shed
+// outcome, the kShed trace record and the exactly-once ledger entry the
+// invariant checker reconciles (FORBIDDEN_BEHAVIOR_CATALOG.md). The shed
+// order lives only there (core::TaskServer::shed_lowest_density); the
+// governor keeps the measurement and the budget arithmetic. A pass costs
+// one walk over each overloaded core's queue and a linear heap build, plus
+// O(log n) per job it sheds — never a sort of the whole backlog.
 //
 // Passes are rate-limited to one per `period`, sharing the knob with the
 // measurement window — the spec's `overload_period`.
@@ -67,7 +71,7 @@ class OverloadGovernor {
   }
 
  private:
-  bool shed_pass(common::TimePoint boundary);
+  bool shed_pass();
 
   exp::OverloadConfig config_;
   ChannelFabric& fabric_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -190,6 +189,38 @@ TEST(ListOfListsQueue, OversizedRequestsParkedNotBlocking) {
   EXPECT_EQ(rest[0].handler->name(), "huge");
 }
 
+// remove_seqs leaves the buckets exactly as one-by-one steals would: the
+// removed costs leave their bucket's load, an emptied bucket disappears,
+// and survivors (parked unservable requests included) keep their place.
+TEST(ListOfListsQueue, RemoveSeqsAdjustsLoadsAndDropsEmptiedBuckets) {
+  HandlerPool pool;
+  ListOfListsQueue q(tu(4));
+  q.push(req(pool.make("a", tu(3)), 0));  // bucket 0 (load 3)
+  q.push(req(pool.make("b", tu(2)), 1));  // bucket 1 (load 2)
+  q.push(req(pool.make("c", tu(2)), 2));  // bucket 1 (load 4)
+  q.push(req(pool.make("d", tu(3)), 3));  // bucket 2 (load 3)
+  q.push(req(pool.make("huge", tu(5)), 4));  // parked
+  const std::uint64_t seqs[] = {0, 2, 4};
+  q.remove_seqs(seqs);
+  // Bucket 0 emptied and dropped; parked requests are outside the reach.
+  EXPECT_EQ(q.bucket_count(), 2u);
+  EXPECT_EQ(q.size(), 3u);
+  std::vector<std::string> left;
+  q.visit([&](const Request& r) { left.push_back(r.handler->name()); });
+  EXPECT_EQ(left, (std::vector<std::string>{"b", "d"}));
+  // The last bucket (d, load 3) still takes a cost-1 release behind d.
+  const auto p = q.placement_for(tu(1));
+  EXPECT_EQ(p.instance_offset, 1);
+  EXPECT_EQ(p.cumulative_before, tu(3));
+  // Once d goes too, b's bucket is the last one; its load dropped to 2, so
+  // a cost-2 release still fits behind b.
+  const std::uint64_t last[] = {3};
+  q.remove_seqs(last);
+  const auto p2 = q.placement_for(tu(2));
+  EXPECT_EQ(p2.instance_offset, 0);
+  EXPECT_EQ(p2.cumulative_before, tu(2));
+}
+
 TEST(PendingQueueFactory, MakesEachDiscipline) {
   EXPECT_NE(PendingQueue::make(model::QueueDiscipline::kStrictFifo, tu(4)),
             nullptr);
@@ -210,9 +241,6 @@ class DOverHarness {
     config.bandwidth_num = tu(10).count();
     config.bandwidth_den = tu(10).count();
     config.now = [this] { return now; };
-    config.meta = [this](const Request& r) {
-      return meta.at(r.handler->name());
-    };
     config.on_admit = [this](const Request& r, bool takeover) {
       log.push_back("admit " + r.handler->name() +
                     (takeover ? " takeover" : ""));
@@ -229,9 +257,10 @@ class DOverHarness {
   // Releases job `name` at the current instant.
   void release(const std::string& name, std::int64_t cost,
                std::int64_t deadline, double value) {
-    meta[name] = DOverQueue::JobMeta{value, tu(deadline)};
     Request r;
     r.handler = pool.make(name, tu(cost));
+    r.handler->set_value(value);
+    r.handler->set_relative_deadline(tu(deadline));
     r.release = now;
     r.seq = seq++;
     queue->push(r);
@@ -243,7 +272,6 @@ class DOverHarness {
 
  private:
   HandlerPool pool;
-  std::map<std::string, DOverQueue::JobMeta> meta;
   std::uint64_t seq = 0;
 };
 

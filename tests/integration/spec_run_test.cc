@@ -160,6 +160,53 @@ TEST(SpecRunIntegration, RouterStormSpecMatchesGoldenReport) {
       });
 }
 
+// No storm spec runs the shedding governor, so its lowest-value-density
+// shed order is pinned here: the router storm, switched to
+// overload = shed in memory, must reproduce the golden report on the
+// lock-step backend, and on the threads backend once the substrate label
+// and the wall-clock line are normalized away.
+TEST(SpecRunIntegration, RouterStormUnderShedMatchesGoldenReport) {
+  const std::string spec_rel = "examples/specs/mp_storm_router.tsf";
+  const std::string golden_rel =
+      "tests/integration/golden/mp_storm_router_shed.txt";
+  std::string content = slurp(source_path(spec_rel));
+  const std::string dover = "overload = dover";
+  const auto at = content.find(dover);
+  ASSERT_NE(at, std::string::npos);
+  content.replace(at, dover.size(), "overload = shed");
+  auto outcome = parse_spec(content);
+  ASSERT_TRUE(outcome.ok()) << outcome.errors.front();
+
+  const std::string golden = slurp(source_path(golden_rel));
+  ASSERT_FALSE(golden.empty())
+      << "missing golden file; regenerate with overload = shed in a copy "
+         "of " << spec_rel << ":\n  ./build/tsf_run <copy> > " << golden_rel;
+  EXPECT_NE(golden.find("overload (shed, threshold 0.75, period 6tu): 69 shed,"
+                        " 0 takeovers, 9 passes"),
+            std::string::npos);
+  EXPECT_NE(golden.find("forbidden-behavior check: clean"), std::string::npos);
+
+  outcome.config.backend = mp::ExecBackend::kLockstep;
+  const std::string lockstep = run_and_report(outcome.config);
+  EXPECT_EQ(lockstep, golden)
+      << "report drifted from the golden file; actual output dumped to "
+      << testing::write_test_artifact("shed_lockstep_actual.txt", lockstep);
+
+  outcome.config.backend = mp::ExecBackend::kThreads;
+  std::string threads = run_and_report(outcome.config);
+  const std::string label = "(pinned worker threads)";
+  const auto label_at = threads.find(label);
+  ASSERT_NE(label_at, std::string::npos);
+  threads.replace(label_at, label.size(), "(lock-step VMs)");
+  const auto wall_at = threads.find("threads backend: wall ");
+  ASSERT_NE(wall_at, std::string::npos);
+  threads.erase(wall_at, threads.find('\n', wall_at) + 1 - wall_at);
+  EXPECT_EQ(threads, golden)
+      << "threads report drifted from the golden file; normalized output "
+         "dumped to "
+      << testing::write_test_artifact("shed_threads_actual.txt", threads);
+}
+
 TEST(SpecRunIntegration, MarketStormSpecMatchesGoldenReport) {
   check_policy_golden(
       "examples/specs/mp_storm_market.tsf",

@@ -1,5 +1,5 @@
 // The memory-discipline contract of the batched-dispatch PR: once warmed
-// up, the steady-state epoch loop performs ZERO heap allocations. The two
+// up, the steady-state epoch loop performs ZERO heap allocations. The
 // pieces that compose into an epoch of either backend are asserted
 // separately with a global operator-new interposer:
 //
@@ -10,6 +10,8 @@
 //   2. The threads backend's staging substrate (MpscQueue<StagedFire>):
 //      after one warm epoch, push/drain/recycle cycles run entirely on
 //      pooled nodes.
+//   3. The boundary's shed pass (CoreEndpoint::shed_lowest_density) over
+//      a warm firm backlog.
 //
 // The interposer replaces global operator new, so this TU must be the only
 // one in the binary including alloc_interposer.h. Under ASan/TSan the
@@ -137,6 +139,49 @@ TEST(ZeroAllocSteadyState, PerCoreWorldDOverQueue) {
   model::SystemSpec spec = steady_spec();
   for (auto& job : spec.aperiodic_jobs) job.relative_deadline = tu(12);
   expect_zero_alloc_world(1, spec, exp::OverloadMode::kDover);
+}
+
+// The shedding governor's pass (overload = shed) walks a core's whole firm
+// backlog at every epoch boundary it fires on. With its scratch warm and
+// the shed ledger reserved it must not allocate: no candidate copies, no
+// name strings, no per-pass vector. A 12 tu burst of 48 firm jobs leaves a
+// backlog the 2/6 server needs ~70 tu to drain, so every pass below finds
+// work to shed.
+TEST(ZeroAllocSteadyState, ShedPassOverWarmFirmBacklog) {
+  if (!testing::alloc_interposer_active()) {
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  }
+  model::SystemSpec spec = steady_spec();
+  for (std::size_t j = 0; j < spec.aperiodic_jobs.size(); ++j) {
+    auto& job = spec.aperiodic_jobs[j];
+    job.release = TimePoint::origin() + Duration::from_tu(1.0 + 0.25 * j);
+    job.relative_deadline = tu(100);
+    job.value = 1.0 + static_cast<double>(j % 3);
+  }
+  exp::ExecOptions options;
+  options.overload.mode = exp::OverloadMode::kShed;
+  rtsj::vm::VirtualMachine vm(options.kernel);
+  NullSink null_sink;
+  vm.set_trace_sink(&null_sink);
+  exp::ExecSystem system(vm, spec, options);
+  system.start();
+
+  // Warm-up: the burst is fully released and one pass sizes the scratch.
+  vm.run_until(at_tu(16));
+  std::size_t shed = system.shed_lowest_density(0.5);
+  ASSERT_GT(shed, 0u);
+
+  const std::uint64_t before = testing::alloc_count();
+  std::size_t shed_late = 0;
+  for (std::int64_t t = 22; t <= 46; t += 6) {
+    vm.run_until(at_tu(t));
+    shed_late += system.shed_lowest_density(0.5);
+  }
+  const std::uint64_t after = testing::alloc_count();
+  EXPECT_EQ(after - before, 0u)
+      << "shed passes allocated " << (after - before) << " times";
+  EXPECT_EQ(shed_late, 5u);  // one 0.5 tu job per pass
+  EXPECT_GT(system.queue_depth(), 0u);
 }
 
 TEST(ZeroAllocSteadyState, StagedFireMailboxRecyclesNodes) {

@@ -2,6 +2,9 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/global.h"
 #include "analysis/offline_value.h"
@@ -20,6 +23,20 @@ namespace tsf::cli {
 namespace {
 
 using common::Duration;
+
+// The entities a run charts and dumps: partitioned runs namespace entities
+// per core ("c0/tau1"), so they take the merged timeline's own rows; a
+// single-core run lists the spec's jobs, then its tasks.
+std::vector<std::string> chart_rows(const CliConfig& config,
+                                    const common::Timeline& timeline) {
+  if (config.spec.cores > 1) return timeline.entities();
+  std::vector<std::string> rows;
+  for (const auto& job : config.spec.aperiodic_jobs) rows.push_back(job.name);
+  for (const auto& task : config.spec.periodic_tasks) {
+    rows.push_back(task.name);
+  }
+  return rows;
+}
 
 void render_run(std::ostream& os, const CliConfig& config,
                 const std::string& label, const model::RunResult& result) {
@@ -53,25 +70,13 @@ void render_run(std::ostream& os, const CliConfig& config,
   }
 
   if (config.gantt) {
-    std::vector<std::string> rows;
-    if (config.spec.cores > 1) {
-      // Partitioned runs namespace entities per core ("c0/tau1"); take the
-      // merged timeline's own rows instead of guessing prefixes.
-      rows = result.timeline.entities();
-    } else {
-      for (const auto& job : config.spec.aperiodic_jobs) {
-        rows.push_back(job.name);
-      }
-      for (const auto& task : config.spec.periodic_tasks) {
-        rows.push_back(task.name);
-      }
-    }
     common::GanttOptions options;
     options.end = config.spec.horizon;
     const auto span = config.spec.horizon - common::TimePoint::origin();
     options.cell = common::max(Duration::ticks(span.count() / 72),
                                Duration::ticks(250));
-    os << render_gantt(result.timeline, rows, options);
+    os << render_gantt(result.timeline, chart_rows(config, result.timeline),
+                       options);
   }
   os << '\n';
 }
@@ -125,29 +130,34 @@ void render_partition(std::ostream& os, const CliConfig& config,
   os << '\n';
 }
 
-void write_vcd(std::ostream& os, const std::string& path,
-               const common::Timeline& timeline,
-               const std::vector<std::string>& rows) {
-  std::ofstream vcd(path);
-  if (vcd) {
-    vcd << common::to_vcd(timeline, rows);
-    os << "execution trace written to " << path << " (VCD)\n";
-  } else {
-    os << "error: cannot write " << path << '\n';
+// The files a run was asked to write, opened before the run: an unwritable
+// path fails before any work is done. `--metrics-json -` means stdout.
+struct OutputFiles {
+  explicit OutputFiles(const CliConfig& config) {
+    open(&vcd, config.vcd_path, std::ios::out);
+    open(&trace, config.trace_path, std::ios::binary);
+    if (config.metrics_json_path != "-") {
+      open(&metrics, config.metrics_json_path, std::ios::binary);
+    }
   }
-}
 
-void write_trace_file(std::ostream& os, const std::string& path,
-                      const common::Timeline& timeline) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    os << "error: cannot write " << path << '\n';
-    return;
+  static void open(std::ofstream* file, const std::string& path,
+                   std::ios::openmode mode) {
+    if (path.empty()) return;
+    file->open(path, mode);
+    if (!*file) throw std::runtime_error("cannot write " + path);
   }
-  common::write_trace(out, timeline);
-  os << "execution trace written to " << path << " (tsf-trace/1, "
-     << out.tellp() << " bytes)\n";
-}
+
+  // Throws unless everything written to `file` reached it.
+  static void close(std::ofstream* file, const std::string& path) {
+    file->close();
+    if (!*file) throw std::runtime_error("cannot write " + path);
+  }
+
+  std::ofstream vcd;
+  std::ofstream trace;
+  std::ofstream metrics;
+};
 
 // Replays the materialized timeline through the streaming consumer and
 // folds the aggregates into the registry next to whatever counters the
@@ -158,7 +168,6 @@ void fold_trace_summary(const common::Timeline& timeline,
   for (const auto& r : timeline.records()) {
     summary.record(r.at, r.kind, r.who, r.value, r.note);
   }
-  summary.finish();
   metrics->add_counter("trace.records", summary.records());
   metrics->add_counter("trace.entities", summary.entity_count());
   for (std::size_t k = 0; k < common::kTraceKindCount; ++k) {
@@ -188,25 +197,42 @@ void fold_trace_summary(const common::Timeline& timeline,
   }
 }
 
-void write_metrics_file(std::ostream& os, const std::string& path,
-                        const common::MetricsRegistry& metrics) {
-  const std::string doc = metrics.to_json();
-  if (path == "-") {
-    os << doc;
-    return;
+// The one writer of --vcd, --trace and --metrics-json, called by every
+// branch with the run it reports: the exec run when there is one, else
+// the simulation. `metrics` holds the runtime's own entries, if any; the
+// trace.* summary is folded in here.
+void write_outputs(std::ostream& os, const CliConfig& config,
+                   OutputFiles& files, const common::Timeline& timeline,
+                   common::MetricsRegistry& metrics) {
+  if (!config.vcd_path.empty()) {
+    files.vcd << common::to_vcd(timeline, chart_rows(config, timeline));
+    OutputFiles::close(&files.vcd, config.vcd_path);
+    os << "execution trace written to " << config.vcd_path << " (VCD)\n";
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    os << "error: cannot write " << path << '\n';
-    return;
+  if (!config.trace_path.empty()) {
+    common::write_trace(files.trace, timeline);
+    const auto bytes = files.trace.tellp();
+    OutputFiles::close(&files.trace, config.trace_path);
+    os << "execution trace written to " << config.trace_path
+       << " (tsf-trace/1, " << bytes << " bytes)\n";
   }
-  out << doc;
-  os << "metrics written to " << path << " (tsf-metrics/1)\n";
+  if (!config.metrics_json_path.empty()) {
+    fold_trace_summary(timeline, &metrics);
+    if (config.metrics_json_path == "-") {
+      os << metrics.to_json();
+    } else {
+      files.metrics << metrics.to_json();
+      OutputFiles::close(&files.metrics, config.metrics_json_path);
+      os << "metrics written to " << config.metrics_json_path
+         << " (tsf-metrics/1)\n";
+    }
+  }
 }
 
 }  // namespace
 
 std::string run_and_report(const CliConfig& config) {
+  OutputFiles files(config);
   std::ostringstream os;
   os << "system: " << config.spec.periodic_tasks.size() << " periodic task(s), "
      << config.spec.aperiodic_jobs.size() << " aperiodic job(s), "
@@ -244,6 +270,10 @@ std::string run_and_report(const CliConfig& config) {
         os << "note: the simulator never rebalances — rebalance = "
            << mp::to_string(config.rebalance.mode)
            << " applies to the execution engine only\n\n";
+      }
+      if (config.mode == RunMode::kSim) {
+        common::MetricsRegistry metrics;
+        write_outputs(os, config, files, run.merged.timeline, metrics);
       }
     }
     if (config.mode == RunMode::kExec || config.mode == RunMode::kBoth) {
@@ -363,50 +393,28 @@ std::string run_and_report(const CliConfig& config) {
       }
       os << "trace fingerprint: " << std::hex
          << common::fingerprint(run.merged.timeline) << std::dec << "\n";
-      if (!config.vcd_path.empty()) {
-        write_vcd(os, config.vcd_path, run.merged.timeline,
-                  run.merged.timeline.entities());
-      }
-      if (!config.trace_path.empty()) {
-        write_trace_file(os, config.trace_path, run.merged.timeline);
-      }
-      if (!config.metrics_json_path.empty()) {
-        fold_trace_summary(run.merged.timeline, &metrics);
-        write_metrics_file(os, config.metrics_json_path, metrics);
-      }
+      write_outputs(os, config, files, run.merged.timeline, metrics);
     }
     return os.str();
   }
 
   if (config.mode == RunMode::kSim || config.mode == RunMode::kBoth) {
-    render_run(os, config, "simulation (theoretical policies)",
-               sim::simulate(config.spec));
+    const auto result = sim::simulate(config.spec);
+    render_run(os, config, "simulation (theoretical policies)", result);
     if (config.spec.uses_channels()) {
       os << "note: the simulator has no channel fabric — triggered jobs"
             " stay unserved and fires are ignored\n\n";
+    }
+    if (config.mode == RunMode::kSim) {
+      common::MetricsRegistry metrics;
+      write_outputs(os, config, files, result.timeline, metrics);
     }
   }
   if (config.mode == RunMode::kExec || config.mode == RunMode::kBoth) {
     const auto result = exp::run_exec(config.spec, config.exec_options);
     render_run(os, config, "execution (RTSJ-style runtime)", result);
-    if (!config.vcd_path.empty()) {
-      std::vector<std::string> rows;
-      for (const auto& job : config.spec.aperiodic_jobs) {
-        rows.push_back(job.name);
-      }
-      for (const auto& task : config.spec.periodic_tasks) {
-        rows.push_back(task.name);
-      }
-      write_vcd(os, config.vcd_path, result.timeline, rows);
-    }
-    if (!config.trace_path.empty()) {
-      write_trace_file(os, config.trace_path, result.timeline);
-    }
-    if (!config.metrics_json_path.empty()) {
-      common::MetricsRegistry metrics;
-      fold_trace_summary(result.timeline, &metrics);
-      write_metrics_file(os, config.metrics_json_path, metrics);
-    }
+    common::MetricsRegistry metrics;
+    write_outputs(os, config, files, result.timeline, metrics);
   }
   return os.str();
 }

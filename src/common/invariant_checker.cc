@@ -16,12 +16,6 @@ struct InvariantChecker::CoreFeed : TraceSink {
     owner_->record_on_core(core_, at, kind, who, value, note);
   }
 
-  bool retract(TimePoint, TraceKind, std::string_view) override {
-    // The only retraction either engine issues is the VM's provisional
-    // horizon-pause (kPreempt), which the checker never tracks.
-    return false;
-  }
-
   InvariantChecker* owner_;
   std::size_t core_;
 };
@@ -51,10 +45,6 @@ void InvariantChecker::record(TimePoint at, TraceKind kind,
                               std::string_view who, std::int64_t value,
                               std::string_view note) {
   record_on_core(core_, at, kind, who, value, note);
-}
-
-bool InvariantChecker::retract(TimePoint, TraceKind, std::string_view) {
-  return false;
 }
 
 void InvariantChecker::add_violation(std::string_view name,

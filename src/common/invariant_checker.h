@@ -66,7 +66,6 @@ class InvariantChecker : public TraceSink {
   // TraceSink. Records must arrive in non-decreasing time order per core.
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
   // End-of-stream checks (ledger reconciliation + admitted-deadline-miss
   // scan) and every violation collected while streaming.

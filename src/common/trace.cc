@@ -58,17 +58,6 @@ void Timeline::record(TimePoint at, TraceKind kind, std::string_view who,
       TraceRecord{at, kind, std::string(who), value, std::string(note)});
 }
 
-bool Timeline::retract(TimePoint at, TraceKind kind, std::string_view who) {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (it->at < at) break;  // records are appended in time order
-    if (it->at == at && it->kind == kind && it->who == who) {
-      records_.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<Interval> Timeline::busy_intervals(const std::string& who) const {
   std::vector<Interval> out;
   bool open = false;

@@ -11,7 +11,8 @@ namespace {
 
 constexpr std::uint8_t kOpDefine = 0x01;
 constexpr std::uint8_t kOpRecord = 0x02;
-constexpr std::uint8_t kOpRetract = 0x03;
+// Reserved: a retired tombstone opcode, rejected on read.
+constexpr std::uint8_t kOpRetired = 0x03;
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -81,18 +82,6 @@ void BinaryTraceWriter::record(TimePoint at, TraceKind kind,
   put_varint(note.size());
   put_bytes(note.data(), note.size());
   ++records_;
-}
-
-bool BinaryTraceWriter::retract(TimePoint at, TraceKind kind,
-                                std::string_view who) {
-  const std::uint64_t id = intern(who);
-  const std::uint8_t op = kOpRetract;
-  put_bytes(&op, 1);
-  put_delta(at.ticks());
-  put_varint(id);
-  const auto k = static_cast<std::uint8_t>(kind);
-  put_bytes(&k, 1);
-  return true;
 }
 
 namespace {
@@ -167,9 +156,10 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
       entities.push_back(std::move(name));
       continue;
     }
-    if (op != kOpRecord && op != kOpRetract) {
-      return fail("unknown opcode " + std::to_string(op));
+    if (op == kOpRetired) {
+      return fail("retraction tombstone (opcode 0x03) is not supported");
     }
+    if (op != kOpRecord) return fail("unknown opcode " + std::to_string(op));
     std::uint64_t delta, id;
     std::uint8_t kind;
     if (!r.get_varint(&delta)) return fail(r.error);
@@ -179,10 +169,6 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
     if (kind >= kTraceKindCount) return fail("kind out of range");
     last_ticks += unzigzag(delta);
     const TimePoint at = TimePoint::at_ticks(last_ticks);
-    if (op == kOpRetract) {
-      sink->retract(at, static_cast<TraceKind>(kind), entities[id]);
-      continue;
-    }
     std::uint64_t uv = 0;
     for (std::size_t i = 0; i < 8; ++i) {
       std::uint8_t byte;

@@ -1,49 +1,12 @@
 #include "common/trace_sink.h"
 
-#include "common/diag.h"
-
 namespace tsf::common {
 
 void StreamingFingerprint::record(TimePoint at, TraceKind kind,
                                   std::string_view who, std::int64_t value,
                                   std::string_view note) {
-  if (!pending_.empty() && at != pending_at_) {
-    TSF_ASSERT(at > pending_at_,
-               "streaming sink fed out of time order: " << at << " after "
-                                                        << pending_at_);
-    flush();
-  }
-  pending_at_ = at;
-  pending_.push_back(
-      Pending{kind, std::string(who), value, std::string(note)});
-}
-
-bool StreamingFingerprint::retract(TimePoint at, TraceKind kind,
-                                   std::string_view who) {
-  if (pending_.empty() || at != pending_at_) return false;
-  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
-    if (it->kind == kind && it->who == who) {
-      pending_.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
-}
-
-void StreamingFingerprint::flush() {
-  for (const auto& p : pending_) {
-    hash_ = fnv1a_record(hash_, pending_at_, p.kind, p.who, p.value, p.note);
-    ++folded_count_;
-  }
-  pending_.clear();
-}
-
-std::uint64_t StreamingFingerprint::digest() const {
-  std::uint64_t h = hash_;
-  for (const auto& p : pending_) {
-    h = fnv1a_record(h, pending_at_, p.kind, p.who, p.value, p.note);
-  }
-  return h;
+  hash_ = fnv1a_record(hash_, at, kind, who, value, note);
+  ++records_;
 }
 
 }  // namespace tsf::common

@@ -58,20 +58,6 @@ void StreamingVcd::record(TimePoint at, TraceKind kind, std::string_view who,
   if (affects_interval(kind)) held_.push_back(Held{kind, id});
 }
 
-bool StreamingVcd::retract(TimePoint at, TraceKind kind,
-                           std::string_view who) {
-  if (!have_instant_ || at.ticks() != cur_at_) return false;
-  const auto it = ids_.find(std::string(who));
-  if (it == ids_.end()) return false;
-  for (auto h = held_.rbegin(); h != held_.rend(); ++h) {
-    if (h->kind == kind && h->entity == it->second) {
-      held_.erase(std::next(h).base());
-      return true;
-    }
-  }
-  return false;
-}
-
 void StreamingVcd::flush() {
   // Per entity, the records of one instant collapse to at most two edges: a
   // fall (the window open at instant start closed now) and a rise (a window
@@ -171,82 +157,47 @@ void StreamingTraceMetrics::record(TimePoint at, TraceKind kind,
                                    std::string_view who,
                                    std::int64_t /*value*/,
                                    std::string_view /*note*/) {
+  const std::int64_t ticks = at.ticks();
+  TSF_ASSERT(!any_ || ticks >= last_ticks_,
+             "trace stream went backwards: " << ticks << " after "
+                                             << last_ticks_);
   const std::size_t id = intern(who);
-  if (have_instant_ && at.ticks() != cur_at_) {
-    TSF_ASSERT(at.ticks() > cur_at_,
-               "trace stream went backwards: " << at.ticks() << " after "
-                                               << cur_at_);
-    flush();
+  Entity& e = entities_[id];
+  ++records_;
+  ++kind_counts_[static_cast<std::size_t>(kind)];
+  if (!any_) {
+    any_ = true;
+    first_ticks_ = ticks;
   }
-  cur_at_ = at.ticks();
-  have_instant_ = true;
-  held_.push_back(Held{kind, id});
-}
-
-bool StreamingTraceMetrics::retract(TimePoint at, TraceKind kind,
-                                    std::string_view who) {
-  if (!have_instant_ || at.ticks() != cur_at_) return false;
-  const auto it = ids_.find(std::string(who));
-  if (it == ids_.end()) return false;
-  for (auto h = held_.rbegin(); h != held_.rend(); ++h) {
-    if (h->kind == kind && h->entity == it->second) {
-      held_.erase(std::next(h).base());
-      ++retractions_;
-      return true;
-    }
+  last_ticks_ = ticks;
+  switch (kind) {
+    case TraceKind::kStart:
+    case TraceKind::kResume:
+      TSF_ASSERT(!e.open, "entity " << e.name << " started twice at " << ticks);
+      e.open = true;
+      e.begin = ticks;
+      break;
+    case TraceKind::kPreempt:
+    case TraceKind::kComplete:
+    case TraceKind::kAbort:
+      if (e.open) {
+        e.open = false;
+        busy_ticks_ += ticks - e.begin;
+      }
+      break;
+    default:
+      break;
   }
-  return false;
-}
-
-void StreamingTraceMetrics::flush() {
-  for (const Held& h : held_) {
-    Entity& e = entities_[h.entity];
-    ++records_;
-    ++kind_counts_[static_cast<std::size_t>(h.kind)];
-    if (!any_) {
-      any_ = true;
-      first_ticks_ = cur_at_;
-    }
-    last_ticks_ = cur_at_;
-    switch (h.kind) {
-      case TraceKind::kStart:
-      case TraceKind::kResume:
-        TSF_ASSERT(!e.open,
-                   "entity " << e.name << " started twice at " << cur_at_);
-        e.open = true;
-        e.begin = cur_at_;
-        break;
-      case TraceKind::kPreempt:
-      case TraceKind::kComplete:
-      case TraceKind::kAbort:
-        if (e.open) {
-          e.open = false;
-          busy_ticks_ += cur_at_ - e.begin;
-        }
-        break;
-      default:
-        break;
-    }
-    if (h.kind == TraceKind::kRelease) {
-      e.outstanding_releases.push_back(cur_at_);
-    } else if (h.kind == TraceKind::kComplete &&
-               !e.outstanding_releases.empty()) {
-      const std::int64_t released = e.outstanding_releases.front();
-      e.outstanding_releases.pop_front();
-      const double response_tu =
-          static_cast<double>(cur_at_ - released) /
-          static_cast<double>(Duration::kTicksPerTimeUnit);
-      response_sketch_.add(response_tu);
-      response_stats_.add(response_tu);
-    }
+  if (kind == TraceKind::kRelease) {
+    e.outstanding_releases.push_back(ticks);
+  } else if (kind == TraceKind::kComplete && !e.outstanding_releases.empty()) {
+    const std::int64_t released = e.outstanding_releases.front();
+    e.outstanding_releases.pop_front();
+    const double response_tu = static_cast<double>(ticks - released) /
+                               static_cast<double>(Duration::kTicksPerTimeUnit);
+    response_sketch_.add(response_tu);
+    response_stats_.add(response_tu);
   }
-  held_.clear();
-}
-
-void StreamingTraceMetrics::finish() {
-  if (!have_instant_) return;
-  flush();
-  have_instant_ = false;
 }
 
 }  // namespace tsf::common

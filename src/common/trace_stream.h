@@ -1,11 +1,11 @@
 // Streaming trace consumers: VCD edges and run metrics computed online.
 //
-// Both sinks hold per-entity cursor state plus the records of the current
-// instant only — never the trace — so they are O(entities) in memory for a
-// trace of any length. The one-instant holdback exists for two reasons:
-// zero-length busy windows (opened and closed at the same instant) must be
-// dropped exactly like Timeline::busy_intervals drops them, and the VM's
-// provisional horizon-pause kPreempt may be retracted before time advances.
+// Both sinks hold per-entity cursor state — never the trace — so they are
+// O(entities) in memory for a trace of any length. A record is final once
+// emitted, so the metrics fold each record on arrival. The VCD holds back
+// the records of the current instant only, because a zero-length busy
+// window (opened and closed at the same instant) must leave no edge, just
+// as Timeline::busy_intervals drops it.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,8 @@ namespace tsf::common {
 // Streams VCD edge lines into `body` as virtual time advances. After
 // finish(), header() + the body stream is byte-identical to
 // to_vcd(timeline, timeline.entities()) for any engine-produced trace (the
-// engines close every interval by the final horizon; an interval still open
-// at finish is dropped by both paths only when it never closed).
+// engines close every interval by the end of the run; an interval still
+// open at finish is dropped by both paths).
 class StreamingVcd final : public TraceSink {
  public:
   explicit StreamingVcd(std::ostream& body) : body_(body) {}
@@ -34,8 +34,6 @@ class StreamingVcd final : public TraceSink {
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
   // Flushes the final instant. Call once, before header().
   TSF_DETERMINISM_CRITICAL
@@ -82,16 +80,8 @@ class StreamingTraceMetrics final : public TraceSink {
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
-
-  // Folds the final instant into the aggregates. Call once, after the
-  // stream ends.
-  TSF_DETERMINISM_CRITICAL
-  void finish();
 
   std::uint64_t records() const { return records_; }
-  std::uint64_t retractions() const { return retractions_; }
   std::uint64_t kind_count(TraceKind kind) const {
     return kind_counts_[static_cast<std::size_t>(kind)];
   }
@@ -111,16 +101,10 @@ class StreamingTraceMetrics final : public TraceSink {
     std::int64_t begin = 0;
     std::deque<std::int64_t> outstanding_releases;
   };
-  struct Held {
-    TraceKind kind;
-    std::size_t entity;
-  };
 
   std::size_t intern(std::string_view who);
-  void flush();
 
   std::uint64_t records_ = 0;
-  std::uint64_t retractions_ = 0;
   std::uint64_t kind_counts_[kTraceKindCount] = {};
   std::int64_t first_ticks_ = 0;
   std::int64_t last_ticks_ = 0;
@@ -132,9 +116,6 @@ class StreamingTraceMetrics final : public TraceSink {
   // Determinism audit: lookup-only intern table, same contract as
   // StreamingVcd::ids_ — aggregates and reports read `entities_` only.
   std::unordered_map<std::string, std::size_t> ids_;
-  std::int64_t cur_at_ = 0;
-  bool have_instant_ = false;
-  std::vector<Held> held_;
 };
 
 }  // namespace tsf::common

@@ -115,9 +115,10 @@ class ExecSystem : public CoreEndpoint {
   ExecSystem& operator=(const ExecSystem&) = delete;
 
   void start();
-  // Extracts outcomes (spec order; re-fired jobs append extra outcomes after
-  // the spec-ordered block) and moves the VM's timeline out. Destructive;
-  // call once after the final run_until.
+  // Ends the VM's run (VirtualMachine::finish), extracts outcomes (spec
+  // order; re-fired jobs append extra outcomes after the spec-ordered
+  // block) and moves the VM's timeline out. Destructive; call once after
+  // the final run_until.
   model::RunResult collect();
 
   // --- CoreEndpoint (called by mp::ChannelFabric / the scheduling-policy

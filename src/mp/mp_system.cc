@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/diag.h"
+#include "common/trace_stream.h"
 #include "mp/channel.h"
 #include "mp/multi_vm.h"
 #include "mp/overload.h"
@@ -318,20 +319,18 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
     m.add_counter("mp.overload.sheds", out.sheds);
     m.add_counter("mp.overload.takeovers", out.takeovers);
     // Busy fraction of each core over the whole run: entities of one core
-    // never overlap, so the per-entity busy windows sum to processor time.
+    // never overlap, so their busy windows sum to processor time. One pass
+    // over each core's records.
     const double horizon_ticks =
         static_cast<double>((spec.horizon - TimePoint::origin()).count());
     for (std::size_t c = 0; c < out.per_core.size(); ++c) {
-      std::int64_t busy = 0;
-      const auto& timeline = out.per_core[c].timeline;
-      for (const auto& who : timeline.entities()) {
-        for (const auto& iv : timeline.busy_intervals(who)) {
-          busy += (iv.end - iv.begin).count();
-        }
+      common::StreamingTraceMetrics core;
+      for (const auto& r : out.per_core[c].timeline.records()) {
+        core.record(r.at, r.kind, r.who, r.value, r.note);
       }
       m.set_gauge("mp.core." + std::to_string(c) + ".utilization",
                   horizon_ticks > 0.0
-                      ? static_cast<double>(busy) / horizon_ticks
+                      ? static_cast<double>(core.busy_ticks()) / horizon_ticks
                       : 0.0);
     }
     if (options.backend == ExecBackend::kThreads) {

@@ -176,41 +176,4 @@ MpRunResult run(const model::SystemSpec& spec,
 MpRunResult run(const model::SystemSpec& spec, Partition partition,
                 const MpRunOptions& options = {});
 
-// --- deprecated spellings (pre-unification): the engine is an option now,
-//     not a function name. Thin wrappers; new code calls mp::run. ---
-
-[[deprecated("use mp::run with options.engine = RunEngine::kSim")]]
-inline MpRunResult run_partitioned_sim(const model::SystemSpec& spec,
-                                       const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kSim;
-  return run(spec, o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kExec")]]
-inline MpRunResult run_partitioned_exec(const model::SystemSpec& spec,
-                                        const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kExec;
-  return run(spec, o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kSim")]]
-inline MpRunResult run_partitioned_sim(const model::SystemSpec& spec,
-                                       Partition partition,
-                                       const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kSim;
-  return run(spec, std::move(partition), o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kExec")]]
-inline MpRunResult run_partitioned_exec(const model::SystemSpec& spec,
-                                        Partition partition,
-                                        const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kExec;
-  return run(spec, std::move(partition), o);
-}
-
 }  // namespace tsf::mp

@@ -118,14 +118,6 @@ VirtualMachine::TimerHandle VirtualMachine::schedule_silent(
 void VirtualMachine::run_until(TimePoint horizon) {
   TSF_ASSERT(current_ == nullptr, "run_until called from inside a fiber");
   TSF_ASSERT(horizon >= now_, "horizon " << horizon << " is in the past");
-  if (frozen_ != nullptr && frozen_pause_recorded_) {
-    // The previous run_until provisionally closed the frozen fiber's trace
-    // in case it was the last one. It wasn't: retract the pause record so a
-    // seamless resume leaves no mark of the epoch boundary.
-    sink_->retract(now_, common::TraceKind::kPreempt, frozen_->label_);
-    frozen_->trace_open_ = true;
-    frozen_pause_recorded_ = false;
-  }
   horizon_ = horizon;
   for (;;) {
     maybe_rethrow();
@@ -144,14 +136,12 @@ void VirtualMachine::run_until(TimePoint horizon) {
     }
     advance_to(t);
   }
-  if (frozen_ != nullptr && frozen_->trace_open_) {
-    // Provisionally close the frozen fiber's busy interval at the horizon:
-    // if this was the final run_until, the trace must not end mid-interval
-    // (busy_intervals would drop it). A later run_until retracts this.
-    close_trace(frozen_);
-    frozen_pause_recorded_ = true;
-  }
   maybe_rethrow();
+}
+
+void VirtualMachine::finish() {
+  if (frozen_ != nullptr) close_trace(frozen_);
+  frozen_ = nullptr;
 }
 
 void VirtualMachine::work(Duration d) {
@@ -332,6 +322,16 @@ void VirtualMachine::grant(Fiber* fiber) {
 }
 
 void VirtualMachine::yield_to_scheduler(Fiber* self) {
+  // Timers due now fire before the pick, exactly as at the top of
+  // run_until: a scheduling point inside an epoch and one at an epoch
+  // boundary order the same instant identically. A callback's exception
+  // surfaces from run_until like a fiber body's (a finished fiber has no
+  // body left to unwind it through).
+  try {
+    process_due_timers();
+  } catch (...) {
+    if (!pending_error_) pending_error_ = std::current_exception();
+  }
   Fiber* next = (now_ < horizon_) ? pick_ready() : nullptr;
   if (next != nullptr) grant(next);
   switch_to(self, next);

@@ -144,10 +144,21 @@ class VirtualMachine {
 
   // Runs the world until `horizon`. Resumable: calling again with a later
   // horizon continues where the previous call stopped, with fibers exactly
-  // where they were. Must be called from outside any fiber. Fibers run on
-  // the calling thread: keep a run on one thread, since a resumed fiber may
-  // hold thread-local values (errno, thread ids) cached from the last one.
+  // where they were. A pause is invisible: run_until records nothing when
+  // it returns, and a run split at any horizons emits the same records in
+  // the same order as one uninterrupted call (timers due at an instant
+  // fire before the next fiber is picked, at a boundary as inside a run).
+  // Must be called from outside any fiber. Fibers run on the calling
+  // thread: keep a run on one thread, since a resumed fiber may hold
+  // thread-local values (errno, thread ids) cached from the last one.
   void run_until(TimePoint horizon);
+
+  // Ends the run: closes the busy interval of the fiber frozen mid-work()
+  // at the last horizon, so the trace never ends mid-interval. Call once
+  // after the final run_until; a no-op when no fiber is frozen. Every
+  // record is final once emitted, so this is the only record the end of a
+  // run adds.
+  void finish();
 
   // ---- calls made from inside fibers ----
 
@@ -214,11 +225,9 @@ class VirtualMachine {
   // driver artifact, not a scheduling event, so a later run_until continues
   // it seamlessly (essential for lock-step multi-VM drivers, which pause
   // every epoch). If another fiber is granted first, the pause retroactively
-  // becomes a real preemption (trace closed, switch charged as usual).
-  // run_until exit provisionally records the pause (so a final timeline
-  // never ends mid-interval); the next run_until retracts it.
+  // becomes a real preemption (trace closed, switch charged as usual);
+  // finish() closes it at the end of the run.
   Fiber* frozen_ = nullptr;
-  bool frozen_pause_recorded_ = false;
   ucontext_t driver_context_{};
   // Sanitizer state of the driver as of its last switch into a fiber (the
   // driving OS thread may change between calls): its stack for ASan, its

@@ -94,22 +94,6 @@ TEST(StreamingVcd, ByteIdenticalToMaterializedExport) {
   EXPECT_EQ(stream.header() + body.str(), to_vcd(t, t.entities()));
 }
 
-TEST(StreamingVcd, RetractedProvisionalPauseLeavesNoEdge) {
-  // The VM's horizon-pause pattern: both paths must agree after a retract.
-  Timeline t;
-  std::ostringstream body;
-  StreamingVcd stream(body);
-  for (TraceSink* sink :
-       {static_cast<TraceSink*>(&t), static_cast<TraceSink*>(&stream)}) {
-    sink->record(at(0), TraceKind::kResume, "task");
-    sink->record(at(40), TraceKind::kPreempt, "task");
-    EXPECT_TRUE(sink->retract(at(40), TraceKind::kPreempt, "task"));
-    sink->record(at(60), TraceKind::kPreempt, "task");
-  }
-  stream.finish();
-  EXPECT_EQ(stream.header() + body.str(), to_vcd(t, t.entities()));
-}
-
 TEST(Vcd, SpacesInNamesSanitised) {
   Timeline t;
   t.record(at(0), TraceKind::kResume, "my task");

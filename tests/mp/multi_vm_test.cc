@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/trace.h"
@@ -79,22 +80,69 @@ TEST(MultiVm, LockstepMatchesIndependentRunExec) {
   }
 }
 
-TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
-  const auto spec = two_core_spec();
-  const auto partition = Partitioner().partition(spec);
-
-  std::vector<std::uint64_t> hashes;
-  for (const auto quantum : {tu(1), tu(5), tu(24)}) {
-    MultiVm machine(spec, partition, MpRunOptions{});
-    machine.run(spec.horizon, quantum);
-    std::uint64_t combined = 0;
-    for (auto& result : machine.collect()) {
-      combined ^= common::fingerprint(result.timeline);
+// The mp_quad shape, on two cores: per core, a periodic task completes at
+// t = 2 (and every 6 tu after), the instant an aperiodic job is released
+// and a lower-priority task is next in line. Run without a pause at t = 2,
+// the VM used to dispatch the lower task before firing the release timer;
+// paused there by an epoch boundary, it fired the timer first.
+model::SystemSpec release_at_completion_spec() {
+  model::SystemSpec spec;
+  spec.name = "quad-shaped";
+  spec.cores = 2;
+  spec.server.policy = model::ServerPolicy::kPolling;
+  spec.server.capacity = tu(3);
+  spec.server.period = tu(6);
+  spec.server.priority = 30;
+  for (int c = 0; c < 2; ++c) {
+    for (const auto& [prefix, cost, priority] :
+         {std::tuple{"tau1", 2, 20}, std::tuple{"tau2", 1, 10}}) {
+      model::PeriodicTaskSpec t;
+      t.name = std::string(prefix) + static_cast<char>('a' + c);
+      t.period = tu(6);
+      t.cost = tu(cost);
+      t.priority = priority;
+      t.affinity = c;
+      spec.periodic_tasks.push_back(t);
     }
-    hashes.push_back(combined);
+    for (const int release : {2, 8, 14}) {
+      model::AperiodicJobSpec job;
+      job.name = "h" + std::to_string(c) + "_" + std::to_string(release);
+      job.release = at_tu(release);
+      job.cost = tu(2);
+      job.affinity = c;
+      spec.aperiodic_jobs.push_back(job);
+    }
   }
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_EQ(hashes[0], hashes[2]);
+  spec.horizon = at_tu(18);
+  return spec;
+}
+
+// Each cell of quanta x backends must give one fingerprint per spec: an
+// epoch boundary is invisible in the trace.
+TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
+  for (const auto& spec : {two_core_spec(), release_at_completion_spec()}) {
+    SCOPED_TRACE(spec.name);
+    const auto partition = Partitioner().partition(spec);
+    ASSERT_TRUE(partition.complete());
+    const Duration whole = spec.horizon - TimePoint::origin();
+    std::vector<std::uint64_t> hashes;
+    for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
+      for (const auto quantum : {tu(1), tu(5), tu(10), whole}) {
+        MpRunOptions options;
+        options.backend = backend;
+        MultiVm machine(spec, partition, options);
+        machine.run(spec.horizon, quantum);
+        std::uint64_t combined = 0;
+        for (auto& result : machine.collect()) {
+          combined = combined * 31 + common::fingerprint(result.timeline);
+        }
+        SCOPED_TRACE(std::string(to_string(backend)) + " quantum " +
+                     common::to_string(quantum));
+        if (!hashes.empty()) EXPECT_EQ(combined, hashes.front());
+        hashes.push_back(combined);
+      }
+    }
+  }
 }
 
 // A driver pause must not rotate the running fiber behind equal-priority

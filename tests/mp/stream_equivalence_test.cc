@@ -1,15 +1,17 @@
 // Streaming consumers attached to the per-core record streams must observe
-// exactly the trace the engines materialize. The lock-step VMs retract a
-// provisional horizon-pause record at every epoch boundary, so these suites
-// exercise the retraction path continuously — across the partitioned
-// baseline with channel traffic, the global pool, semi-partitioned
-// stealing, and the online rebalancer.
+// exactly the trace the engines materialize. The lock-step VMs pause at
+// every epoch boundary, so these suites check that a pause leaves no mark
+// on the live stream — across the partitioned baseline with channel
+// traffic, the global pool, semi-partitioned stealing, and the online
+// rebalancer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "common/trace_sink.h"
 #include "common/trace_stream.h"
@@ -114,7 +116,6 @@ TEST(StreamEquivalence, StreamingMetricsAgreeWithBusyIntervals) {
   common::StreamingTraceMetrics metrics;
   options.core_trace_sinks.push_back(&metrics);
   const auto run = mp::run(spec, options);
-  metrics.finish();
 
   const auto& timeline = run.per_core[0].timeline;
   std::int64_t busy = 0;
@@ -126,6 +127,39 @@ TEST(StreamEquivalence, StreamingMetricsAgreeWithBusyIntervals) {
   EXPECT_EQ(metrics.busy_ticks(), busy);
   EXPECT_EQ(metrics.records(), timeline.records().size());
   EXPECT_EQ(metrics.entity_count(), timeline.entities().size());
+}
+
+// The mp.core.N.utilization gauges come from one streaming pass per core;
+// they must equal, to the last bit, the per-entity busy-interval sum they
+// were first defined by (kept here as the reference).
+TEST(StreamEquivalence, UtilizationGaugesMatchPerEntityBusyIntervals) {
+  for (const auto policy : {SchedPolicy::kPartitioned, SchedPolicy::kGlobal,
+                            SchedPolicy::kSemiPartitioned}) {
+    const auto spec = busy_spec(3);
+    common::MetricsRegistry metrics;
+    MpRunOptions options;
+    options.policy = policy;
+    options.metrics = &metrics;
+    const auto run = mp::run(spec, options);
+    const double horizon_ticks =
+        static_cast<double>((spec.horizon - TimePoint::origin()).count());
+    for (std::size_t c = 0; c < run.per_core.size(); ++c) {
+      const auto& timeline = run.per_core[c].timeline;
+      std::int64_t busy = 0;
+      for (const auto& who : timeline.entities()) {
+        for (const auto& iv : timeline.busy_intervals(who)) {
+          busy += (iv.end - iv.begin).count();
+        }
+      }
+      const double reference = static_cast<double>(busy) / horizon_ticks;
+      const double gauge =
+          metrics.gauge("mp.core." + std::to_string(c) + ".utilization");
+      EXPECT_EQ(std::memcmp(&gauge, &reference, sizeof gauge), 0)
+          << to_string(policy) << " core " << c << ": " << gauge << " vs "
+          << reference;
+      EXPECT_GT(gauge, 0.0);
+    }
+  }
 }
 
 }  // namespace

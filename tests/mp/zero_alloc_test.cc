@@ -47,9 +47,6 @@ class NullSink final : public common::TraceSink {
  public:
   void record(TimePoint, common::TraceKind, std::string_view, std::int64_t,
               std::string_view) override {}
-  bool retract(TimePoint, common::TraceKind, std::string_view) override {
-    return true;
-  }
 };
 
 // Steady periodic + aperiodic load with no fire chains, migration or

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -379,6 +380,59 @@ TEST(VmHorizon, TimersBeyondHorizonDoNotFire) {
   EXPECT_TRUE(fired);
 }
 
+// One world: "hi" works 2 tu and sleeps at t = 2, the instant a kernel
+// timer fires an event and "lo" is next in line. Returns the trace of a
+// run paused at each horizon in `pauses`, then run to t = 10.
+common::Timeline run_with_pauses(const std::vector<std::int64_t>& pauses) {
+  VirtualMachine m;
+  Fiber* hi = m.create_fiber("hi", 20, [&] {
+    m.work(tu(2));
+    m.sleep_until(at_tu(6));
+    m.work(tu(1));
+  });
+  Fiber* lo = m.create_fiber("lo", 10, [&] { m.work(tu(5)); });
+  m.start_fiber(hi);
+  m.start_fiber(lo);
+  m.schedule_timer(at_tu(2), [&] {
+    m.trace().record(m.now(), common::TraceKind::kFire, "e");
+  });
+  for (const std::int64_t t : pauses) m.run_until(at_tu(t));
+  m.run_until(at_tu(10));
+  m.finish();
+  return m.timeline();
+}
+
+TEST(VmHorizon, PauseNeverReordersAnInstant) {
+  // Timers due at the instant a fiber yields fire before the next pick,
+  // inside a run exactly as at a run_until boundary.
+  const auto whole = run_with_pauses({});
+  const auto& records = whole.records();
+  ASSERT_GE(records.size(), 3u);
+  EXPECT_EQ(records[1].kind, common::TraceKind::kPreempt);  // hi sleeps
+  EXPECT_EQ(records[2].kind, common::TraceKind::kFire);     // then e fires
+  for (const auto& pauses : std::vector<std::vector<std::int64_t>>{
+           {2}, {1, 2, 3}, {2, 4, 6, 8}, {5}}) {
+    EXPECT_EQ(common::fingerprint(run_with_pauses(pauses)),
+              common::fingerprint(whole))
+        << "paused at " << pauses.front() << "...";
+  }
+}
+
+TEST(VmHorizon, RunUntilRecordsNothingAndFinishClosesTheFrozenFiber) {
+  VirtualMachine m;
+  Fiber* f = m.create_fiber("w", 10, [&] { m.work(tu(10)); });
+  m.start_fiber(f);
+  m.run_until(at_tu(4));
+  ASSERT_EQ(m.timeline().records().size(), 1u);  // the resume only
+  m.run_until(at_tu(6));
+  EXPECT_EQ(m.timeline().records().size(), 1u);  // a pause leaves no mark
+  m.finish();
+  EXPECT_EQ(m.timeline().busy_intervals("w"),
+            (std::vector<Interval>{{at_tu(0), at_tu(6)}}));
+  m.finish();  // nothing left to close
+  EXPECT_EQ(m.timeline().records().size(), 2u);
+}
+
 TEST(VmTrace, BusyIntervalsReflectPreemption) {
   VirtualMachine m;
   Fiber* low = m.create_fiber("low", 1, [&] { m.work(tu(6)); });
@@ -423,6 +477,17 @@ TEST(VmErrors, FiberExceptionSurfacesInRunUntil) {
   });
   m.start_fiber(f);
   EXPECT_THROW(m.run_until(at_tu(10)), std::runtime_error);
+}
+
+TEST(VmErrors, TimerExceptionAtFiberExitSurfacesInRunUntil) {
+  // The timer is due at the instant the fiber finishes, so it fires from
+  // the finished fiber's last scheduling point.
+  VirtualMachine m;
+  Fiber* f = m.create_fiber("short", 10, [&] { m.work(tu(2)); });
+  m.start_fiber(f);
+  m.schedule_timer(at_tu(2), [] { throw std::runtime_error("timer bug"); });
+  EXPECT_THROW(m.run_until(at_tu(10)), std::runtime_error);
+  EXPECT_TRUE(f->finished());
 }
 
 TEST(VmLifecycle, DestructionWithParkedFibersIsClean) {

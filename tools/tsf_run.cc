@@ -5,8 +5,11 @@
 //                  [--backend lockstep|threads] [--batch N] [--no-gantt]
 //                  [--vcd FILE] [--trace FILE] [--metrics-json FILE]
 // See examples/specs/ for spec files and src/cli/spec_file.h for the format.
+// Exits 1, with the message on stderr, when the spec does not parse, when a
+// requested output file cannot be written, or when the run fails.
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 
 #include "cli/report.h"
@@ -67,6 +70,11 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  std::cout << tsf::cli::run_and_report(outcome.config);
+  try {
+    std::cout << tsf::cli::run_and_report(outcome.config);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
   return 0;
 }

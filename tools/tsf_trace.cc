@@ -74,12 +74,9 @@ int cmd_summarize(const std::string& path) {
   tee.add(&fingerprint);
   tee.add(&metrics);
   if (!replay_file(path, &tee)) return 2;
-  metrics.finish();
 
   std::printf("records      %llu\n",
               static_cast<unsigned long long>(metrics.records()));
-  std::printf("retractions  %llu\n",
-              static_cast<unsigned long long>(metrics.retractions()));
   std::printf("entities     %zu\n", metrics.entity_count());
   std::printf("span ticks   [%lld, %lld]\n",
               static_cast<long long>(metrics.first_ticks()),

@@ -5,28 +5,21 @@
 // Sweeping the admission margin on the heterogeneous paper sets shows the
 // trade the paper anticipated: AIR falls towards zero as the margin grows,
 // at the cost of deferring (and eventually not serving) borderline events.
-// A thin cell-enumerator over the sharded harness: the margin rides on the
-// WorkUnit (applied to every generated spec before the run), so `--jobs N`
-// parallelizes the 12-cell sweep.
+// A thin cell-enumerator: the margin rides on the WorkUnit (applied to every
+// generated spec before the run) and exp::run_cell runs the 12 cells.
 #include <cstdio>
 #include <iostream>
 
 #include "common/table.h"
-#include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tsf;
-  exp::BenchCli cli(exp::BenchCli::kShard);
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.consume(argc, argv, &i)) return cli.fail("bench_ablation_margin");
-  }
-  const exp::ShardOptions& shard = cli.shard;
   std::cout << "=== §7 extension: interruption-avoidance margin sweep ===\n"
             << "(PS executions, calibrated overheads)\n\n";
 
-  std::vector<exp::WorkUnit> units;
-  std::vector<std::pair<std::string, std::string>> rows;  // (margin, set)
+  common::TextTable t;
+  t.add_row({"margin", "set", "AART", "AIR", "ASR"});
   for (const int margin_ticks : {0, 250, 500, 1000}) {
     for (const auto& set : {exp::PaperSet{1, 2}, exp::PaperSet{2, 2},
                             exp::PaperSet{3, 2}}) {
@@ -35,28 +28,15 @@ int main(int argc, char** argv) {
       std::snprintf(key, sizeof key, "(%g,%g)", set.density,
                     set.std_deviation);
       std::snprintf(mg, sizeof mg, "%.2ftu", margin_ticks / 1000.0);
-      unit.label = std::string(mg) + "/" + key;
       unit.params =
           exp::paper_generator_params(set, model::ServerPolicy::kPolling);
       unit.mode = exp::Mode::kExecution;
       unit.exec_options = exp::paper_execution_options();
       unit.admission_margin = common::Duration::ticks(margin_ticks);
-      units.push_back(std::move(unit));
-      rows.emplace_back(mg, key);
+      const exp::SetMetrics m = exp::run_cell(unit).metrics;
+      t.add_row({mg, key, common::fmt_fixed(m.aart, 2),
+                 common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
     }
-  }
-  const exp::ShardOutcome outcome = exp::run_units(units, shard);
-  if (!outcome.ok) {
-    std::cerr << "error: " << outcome.error << '\n';
-    return 1;
-  }
-
-  common::TextTable t;
-  t.add_row({"margin", "set", "AART", "AIR", "ASR"});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& m = outcome.cells[i].metrics;
-    t.add_row({rows[i].first, rows[i].second, common::fmt_fixed(m.aart, 2),
-               common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
   }
   std::cout << t.to_string()
             << "\nReading: a margin of ~0.5tu absorbs the calibrated"

@@ -5,26 +5,20 @@
 // wall-clock). Sweeping the timer-fire cost makes the mechanism visible:
 // AIR climbs and ASR decays as overhead grows; homogeneous sets absorb the
 // first ~1tu of interference in the capacity's slack. A thin
-// cell-enumerator over the sharded harness (`--jobs N`).
+// cell-enumerator over exp::run_cell.
 #include <cstdio>
 #include <iostream>
 
 #include "common/table.h"
-#include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tsf;
-  exp::BenchCli cli(exp::BenchCli::kShard);
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.consume(argc, argv, &i)) return cli.fail("bench_ablation_overhead");
-  }
-  const exp::ShardOptions& shard = cli.shard;
   std::cout << "=== Ablation: timer-fire overhead sweep (PS executions) ===\n"
             << "(jitter fixed at the calibrated 15%)\n\n";
 
-  std::vector<exp::WorkUnit> units;
-  std::vector<std::pair<std::string, std::string>> rows;  // (overhead, set)
+  common::TextTable t;
+  t.add_row({"timer_fire", "set", "AART", "AIR", "ASR"});
   for (const int ticks : {0, 100, 250, 500, 1000}) {
     for (const auto& set : {exp::PaperSet{2, 0}, exp::PaperSet{2, 2}}) {
       exp::WorkUnit unit;
@@ -32,28 +26,15 @@ int main(int argc, char** argv) {
       std::snprintf(key, sizeof key, "(%g,%g)", set.density,
                     set.std_deviation);
       std::snprintf(oh, sizeof oh, "%.2ftu", ticks / 1000.0);
-      unit.label = std::string(oh) + "/" + key;
       unit.params =
           exp::paper_generator_params(set, model::ServerPolicy::kPolling);
       unit.mode = exp::Mode::kExecution;
       unit.exec_options = exp::paper_execution_options();
       unit.exec_options.kernel.timer_fire = common::Duration::ticks(ticks);
-      units.push_back(std::move(unit));
-      rows.emplace_back(oh, key);
+      const exp::SetMetrics m = exp::run_cell(unit).metrics;
+      t.add_row({oh, key, common::fmt_fixed(m.aart, 2),
+                 common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
     }
-  }
-  const exp::ShardOutcome outcome = exp::run_units(units, shard);
-  if (!outcome.ok) {
-    std::cerr << "error: " << outcome.error << '\n';
-    return 1;
-  }
-
-  common::TextTable t;
-  t.add_row({"timer_fire", "set", "AART", "AIR", "ASR"});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& m = outcome.cells[i].metrics;
-    t.add_row({rows[i].first, rows[i].second, common::fmt_fixed(m.aart, 2),
-               common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
   }
   std::cout << t.to_string() << '\n';
   return 0;

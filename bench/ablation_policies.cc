@@ -5,30 +5,24 @@
 // and the Sporadic Server. The paper implements PS and DS; this bench adds
 // the background baseline and the SS extension on identical workloads with
 // a periodic load (tau1/tau2 from Table 1) so background service actually
-// competes with something. A thin cell-enumerator over the sharded harness
-// (`--jobs N` parallelizes the 16 cells).
+// competes with something. A thin cell-enumerator over exp::run_cell (16
+// cells).
 #include <cstdio>
 #include <iostream>
 
 #include "common/table.h"
-#include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tsf;
   using common::Duration;
   using common::TimePoint;
-  exp::BenchCli cli(exp::BenchCli::kShard);
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.consume(argc, argv, &i)) return cli.fail("bench_ablation_policies");
-  }
-  const exp::ShardOptions& shard = cli.shard;
   std::cout << "=== Extension: server policy comparison (executions) ===\n"
             << "(paper sets + Table 1's periodic tasks tau1(2,6), tau2(1,6);"
                " background server runs below them)\n\n";
 
-  std::vector<exp::WorkUnit> units;
-  std::vector<std::pair<std::string, std::string>> rows;  // (set, policy)
+  common::TextTable t;
+  t.add_row({"set", "policy", "AART", "AIR", "ASR"});
   for (const auto& set : {exp::PaperSet{1, 0}, exp::PaperSet{2, 0},
                           exp::PaperSet{1, 2}, exp::PaperSet{2, 2}}) {
     for (const auto policy :
@@ -38,7 +32,6 @@ int main(int argc, char** argv) {
       char key[64];
       std::snprintf(key, sizeof key, "(%g,%g)", set.density,
                     set.std_deviation);
-      unit.label = std::string(key) + "/" + model::to_string(policy);
       unit.params = exp::paper_generator_params(set, policy);
       unit.params.periodic_tasks.push_back({"tau1", Duration::time_units(6),
                                             Duration::time_units(2),
@@ -53,22 +46,10 @@ int main(int argc, char** argv) {
       }
       unit.mode = exp::Mode::kExecution;
       unit.exec_options = exp::paper_execution_options();
-      units.push_back(std::move(unit));
-      rows.emplace_back(key, model::to_string(policy));
+      const exp::SetMetrics m = exp::run_cell(unit).metrics;
+      t.add_row({key, model::to_string(policy), common::fmt_fixed(m.aart, 2),
+                 common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
     }
-  }
-  const exp::ShardOutcome outcome = exp::run_units(units, shard);
-  if (!outcome.ok) {
-    std::cerr << "error: " << outcome.error << '\n';
-    return 1;
-  }
-
-  common::TextTable t;
-  t.add_row({"set", "policy", "AART", "AIR", "ASR"});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& m = outcome.cells[i].metrics;
-    t.add_row({rows[i].first, rows[i].second, common::fmt_fixed(m.aart, 2),
-               common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
   }
   std::cout << t.to_string()
             << "\nReading: event-driven budgets (deferrable, sporadic) give"

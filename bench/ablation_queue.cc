@@ -4,26 +4,20 @@
 // first-fit chooseNextEvent (§6.2.2) and proposes the list-of-lists queue
 // for O(1) online prediction (§7). This bench quantifies what each
 // discipline costs/buys on the paper's six sets (Polling Server,
-// execution mode, calibrated overheads). A thin cell-enumerator over the
-// sharded harness: `--jobs N` runs the 18 cells in parallel.
+// execution mode, calibrated overheads). A thin cell-enumerator over
+// exp::run_cell (18 cells).
 #include <cstdio>
 #include <iostream>
 
 #include "common/table.h"
-#include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tsf;
-  exp::BenchCli cli(exp::BenchCli::kShard);
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.consume(argc, argv, &i)) return cli.fail("bench_ablation_queue");
-  }
-  const exp::ShardOptions& shard = cli.shard;
   std::cout << "=== Ablation: pending-queue discipline (PS executions) ===\n\n";
 
-  std::vector<exp::WorkUnit> units;
-  std::vector<std::pair<std::string, std::string>> rows;  // (set, discipline)
+  common::TextTable t;
+  t.add_row({"set", "discipline", "AART", "AIR", "ASR"});
   for (const auto& set : exp::paper_sets()) {
     for (const auto queue : {model::QueueDiscipline::kStrictFifo,
                              model::QueueDiscipline::kFifoFirstFit,
@@ -32,28 +26,15 @@ int main(int argc, char** argv) {
       char key[64];
       std::snprintf(key, sizeof key, "(%g,%g)", set.density,
                     set.std_deviation);
-      unit.label = std::string(key) + "/" + model::to_string(queue);
       unit.params =
           exp::paper_generator_params(set, model::ServerPolicy::kPolling);
       unit.params.queue = queue;
       unit.mode = exp::Mode::kExecution;
       unit.exec_options = exp::paper_execution_options();
-      units.push_back(std::move(unit));
-      rows.emplace_back(key, model::to_string(queue));
+      const exp::SetMetrics m = exp::run_cell(unit).metrics;
+      t.add_row({key, model::to_string(queue), common::fmt_fixed(m.aart, 2),
+                 common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
     }
-  }
-  const exp::ShardOutcome outcome = exp::run_units(units, shard);
-  if (!outcome.ok) {
-    std::cerr << "error: " << outcome.error << '\n';
-    return 1;
-  }
-
-  common::TextTable t;
-  t.add_row({"set", "discipline", "AART", "AIR", "ASR"});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& m = outcome.cells[i].metrics;
-    t.add_row({rows[i].first, rows[i].second, common::fmt_fixed(m.aart, 2),
-               common::fmt_fixed(m.air, 2), common::fmt_fixed(m.asr, 2)});
   }
   std::cout << t.to_string()
             << "\nReading: first-fit shortens AART on heterogeneous sets by"

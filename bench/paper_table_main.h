@@ -1,7 +1,6 @@
-// Shared driver for the four table-reproduction benches: enumerates the six
-// paper sets under one (policy, mode) pair, runs them through the sharded
-// harness (`--jobs N` fans the cells out over worker processes) and prints
-// our table next to the paper's published values.
+// Shared main for the four table-reproduction benches: runs the six paper
+// sets under one (policy, mode) pair and prints our table next to the
+// paper's published values.
 #pragma once
 
 #include <array>
@@ -9,8 +8,7 @@
 #include <iostream>
 
 #include "common/table.h"
-#include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
 namespace tsf::bench {
 
@@ -25,20 +23,12 @@ struct PaperReference {
 
 inline int run_paper_table_bench(model::ServerPolicy policy,
                                  exp::Mode mode,
-                                 const PaperReference& reference,
-                                 int argc = 0, char** argv = nullptr) {
-  exp::BenchCli cli(exp::BenchCli::kShard);
-  for (int i = 1; i < argc; ++i) {
-    if (!cli.consume(argc, argv, &i)) {
-      return cli.fail(argv != nullptr ? argv[0] : "bench_table");
-    }
-  }
-  const exp::ShardOptions& shard = cli.shard;
+                                 const PaperReference& reference) {
   const exp::ExecOptions options = mode == exp::Mode::kExecution
                                        ? exp::paper_execution_options()
                                        : exp::ExecOptions{};
   const exp::PaperTable table =
-      exp::run_paper_table(policy, mode, options, shard);
+      exp::run_paper_table(policy, mode, options);
 
   std::cout << "=== " << reference.label << " ===\n";
   std::cout << "(6 sets x 10 systems, seed 1983, horizon 10 server periods;"

@@ -1,7 +1,7 @@
 // Reproduces Table 2: "Measures on Polling Server simulations".
 #include "paper_table_main.h"
 
-int main(int argc, char** argv) {
+int main() {
   tsf::bench::PaperReference ref;
   ref.label = "Table 2 — Polling Server, simulation";
   ref.aart = {8.86, 17.52, 23.76, 10.24, 20.58, 25.50};
@@ -9,5 +9,5 @@ int main(int argc, char** argv) {
   ref.asr = {0.89, 0.63, 0.43, 0.85, 0.50, 0.35};
   return tsf::bench::run_paper_table_bench(
       tsf::model::ServerPolicy::kPolling, tsf::exp::Mode::kSimulation,
-      ref, argc, argv);
+      ref);
 }

@@ -1,7 +1,7 @@
 // Reproduces Table 4: "Measures on Deferrable Server simulations".
 #include "paper_table_main.h"
 
-int main(int argc, char** argv) {
+int main() {
   tsf::bench::PaperReference ref;
   ref.label = "Table 4 — Deferrable Server, simulation";
   ref.aart = {5.30, 13.44, 19.83, 6.36, 17.40, 21.71};
@@ -9,5 +9,5 @@ int main(int argc, char** argv) {
   ref.asr = {0.94, 0.67, 0.46, 0.94, 0.56, 0.38};
   return tsf::bench::run_paper_table_bench(
       tsf::model::ServerPolicy::kDeferrable, tsf::exp::Mode::kSimulation,
-      ref, argc, argv);
+      ref);
 }

@@ -1,7 +1,7 @@
 // Reproduces Table 5: "Measures on Deferrable Server executions".
 #include "paper_table_main.h"
 
-int main(int argc, char** argv) {
+int main() {
   tsf::bench::PaperReference ref;
   ref.label = "Table 5 — Deferrable Server, execution";
   ref.aart = {6.90, 14.55, 20.58, 8.02, 13.47, 16.91};
@@ -9,5 +9,5 @@ int main(int argc, char** argv) {
   ref.asr = {0.84, 0.56, 0.39, 0.66, 0.43, 0.30};
   return tsf::bench::run_paper_table_bench(
       tsf::model::ServerPolicy::kDeferrable, tsf::exp::Mode::kExecution,
-      ref, argc, argv);
+      ref);
 }

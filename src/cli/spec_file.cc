@@ -76,8 +76,10 @@ struct Parser {
   // must not have one — its release comes from a cross-core fire).
   std::set<std::string> jobs_with_release;
 
+  // Line 0 is a command-line flag (set_run_key): no line to cite.
   void error(int line, const std::string& message) {
-    out.errors.push_back("line " + std::to_string(line) + ": " + message);
+    out.errors.push_back(
+        line > 0 ? "line " + std::to_string(line) + ": " + message : message);
   }
 
   bool parse_double(int line, const std::string& value, double* dst) {
@@ -471,131 +473,145 @@ struct Parser {
     }
   }
 
+  // The checks that need what the parser saw, not just the config it built;
+  // the config's own cross-key checks are validate().
   void finish() {
     if (!saw_horizon) {
       out.errors.push_back("missing [run] horizon");
     }
-    for (const auto& t : out.config.spec.periodic_tasks) {
-      if (t.affinity >= out.config.spec.cores) {
-        out.errors.push_back("task '" + t.name + "' is pinned to core " +
-                             std::to_string(t.affinity) + " but the run has " +
-                             std::to_string(out.config.spec.cores) +
-                             " core(s)");
-      }
-    }
     for (const auto& j : out.config.spec.aperiodic_jobs) {
-      if (j.affinity >= out.config.spec.cores) {
-        out.errors.push_back("job '" + j.name + "' is pinned to core " +
-                             std::to_string(j.affinity) + " but the run has " +
-                             std::to_string(out.config.spec.cores) +
-                             " core(s)");
-      }
-    }
-    if (out.config.policy != mp::SchedPolicy::kPartitioned &&
-        out.config.spec.cores <= 1) {
-      out.errors.push_back(std::string("scheduling policy '") +
-                           mp::to_string(out.config.policy) +
-                           "' needs a multi-core run (cores > 1)");
-    }
-    if (out.config.backend == mp::ExecBackend::kThreads) {
-      // The threads backend is the multi-core execution substrate; a
-      // uniprocessor or sim-only run never reaches it, so a spec asking for
-      // it there is a mistake worth flagging, not silently ignoring.
-      if (out.config.spec.cores <= 1) {
-        out.errors.push_back(
-            "backend = threads needs a multi-core run (cores > 1)");
-      }
-      if (out.config.mode == RunMode::kSim) {
-        out.errors.push_back(
-            "backend = threads applies to the execution engine (mode = "
-            "exec|both)");
-      }
-    }
-    if (out.config.exec_options.batch > 1 &&
-        out.config.mode == RunMode::kSim) {
-      // The simulator has no dispatch overhead to amortize; a batch > 1 in
-      // a sim-only run is a mistake worth flagging, not silently ignoring.
-      out.errors.push_back(
-          "batch applies to the execution engine (mode = exec|both)");
-    }
-    if (out.config.rebalance.mode != mp::RebalanceMode::kOff &&
-        out.config.spec.cores <= 1) {
-      out.errors.push_back(std::string("rebalance '") +
-                           mp::to_string(out.config.rebalance.mode) +
-                           "' needs a multi-core run (cores > 1)");
-    }
-    if (out.config.exec_options.overload.enabled()) {
-      // Both overload policies live in the partitioned execution runtime:
-      // shed is an epoch-boundary governor, dover a per-core exec queue.
-      if (out.config.spec.cores <= 1) {
-        out.errors.push_back(
-            std::string("overload '") +
-            exp::to_string(out.config.exec_options.overload.mode) +
-            "' needs a multi-core run (cores > 1)");
-      }
-      if (out.config.mode == RunMode::kSim) {
-        out.errors.push_back(
-            "overload policies apply to the execution engine (mode = "
-            "exec|both)");
-      }
-    }
-    const auto& server = out.config.spec.server;
-    if (server.policy != model::ServerPolicy::kNone &&
-        (server.capacity.is_zero() || server.period.is_zero())) {
-      out.errors.push_back("server needs a positive capacity and period");
-    }
-    for (const auto& t : out.config.spec.periodic_tasks) {
-      if (t.period.is_zero() || t.cost.is_zero()) {
-        out.errors.push_back("task '" + t.name +
-                             "' needs a positive period and cost");
-      }
-    }
-    for (const auto& j : out.config.spec.aperiodic_jobs) {
-      if (j.cost.is_zero()) {
-        out.errors.push_back("job '" + j.name + "' needs a positive cost");
-      }
-    }
-
-    // Channel semantics: fires targets must resolve, and the channel roles
-    // must be consistent (routing is by job name, so names must be unique).
-    std::set<std::string> names;
-    for (const auto& j : out.config.spec.aperiodic_jobs) {
-      if (!names.insert(j.name).second) {
-        out.errors.push_back("duplicate job name '" + j.name + "'");
-      }
-    }
-    const bool has_channel_jobs = out.config.spec.uses_channels();
-    if (has_channel_jobs &&
-        out.config.spec.server.policy == model::ServerPolicy::kNone) {
-      out.errors.push_back(
-          "fires/triggered/migrate jobs need an aperiodic server");
-    }
-    for (const auto& j : out.config.spec.aperiodic_jobs) {
-      if (!j.fires.empty()) {
-        if (j.fires == j.name) {
-          out.errors.push_back("job '" + j.name + "' cannot fire itself");
-        } else if (names.find(j.fires) == names.end()) {
-          out.errors.push_back("job '" + j.name + "' fires unknown job '" +
-                               j.fires + "'");
-        }
-      }
       if (j.triggered && jobs_with_release.count(j.name) > 0) {
         out.errors.push_back("triggered job '" + j.name +
                              "' cannot also have a release");
-      }
-      if (j.migrate && j.triggered) {
-        out.errors.push_back("job '" + j.name +
-                             "' cannot be both migrate and triggered");
-      }
-      if (j.migrate && j.affinity >= 0) {
-        out.errors.push_back("job '" + j.name +
-                             "' cannot both migrate and pin an affinity");
       }
     }
   }
 };
 
 }  // namespace
+
+std::vector<std::string> validate(const CliConfig& config) {
+  std::vector<std::string> errors;
+  for (const auto& t : config.spec.periodic_tasks) {
+    if (t.affinity >= config.spec.cores) {
+      errors.push_back("task '" + t.name + "' is pinned to core " +
+                       std::to_string(t.affinity) + " but the run has " +
+                       std::to_string(config.spec.cores) + " core(s)");
+    }
+  }
+  for (const auto& j : config.spec.aperiodic_jobs) {
+    if (j.affinity >= config.spec.cores) {
+      errors.push_back("job '" + j.name + "' is pinned to core " +
+                       std::to_string(j.affinity) + " but the run has " +
+                       std::to_string(config.spec.cores) + " core(s)");
+    }
+  }
+  if (config.policy != mp::SchedPolicy::kPartitioned &&
+      config.spec.cores <= 1) {
+    errors.push_back(std::string("scheduling policy '") +
+                     mp::to_string(config.policy) +
+                     "' needs a multi-core run (cores > 1)");
+  }
+  if (config.backend == mp::ExecBackend::kThreads) {
+    // The threads backend is the multi-core execution substrate; a
+    // uniprocessor or sim-only run never reaches it, so a spec asking for
+    // it there is a mistake worth flagging, not silently ignoring.
+    if (config.spec.cores <= 1) {
+      errors.push_back("backend = threads needs a multi-core run (cores > 1)");
+    }
+    if (config.mode == RunMode::kSim) {
+      errors.push_back(
+          "backend = threads applies to the execution engine (mode = "
+          "exec|both)");
+    }
+  }
+  if (config.exec_options.batch > 1 && config.mode == RunMode::kSim) {
+    // The simulator has no dispatch overhead to amortize; a batch > 1 in
+    // a sim-only run is a mistake worth flagging, not silently ignoring.
+    errors.push_back(
+        "batch applies to the execution engine (mode = exec|both)");
+  }
+  if (config.rebalance.mode != mp::RebalanceMode::kOff &&
+      config.spec.cores <= 1) {
+    errors.push_back(std::string("rebalance '") +
+                     mp::to_string(config.rebalance.mode) +
+                     "' needs a multi-core run (cores > 1)");
+  }
+  if (config.exec_options.overload.enabled()) {
+    // Both overload policies live in the partitioned execution runtime:
+    // shed is an epoch-boundary governor, dover a per-core exec queue.
+    if (config.spec.cores <= 1) {
+      errors.push_back(
+          std::string("overload '") +
+          exp::to_string(config.exec_options.overload.mode) +
+          "' needs a multi-core run (cores > 1)");
+    }
+    if (config.mode == RunMode::kSim) {
+      errors.push_back(
+          "overload policies apply to the execution engine (mode = "
+          "exec|both)");
+    }
+  }
+  const auto& server = config.spec.server;
+  if (server.policy != model::ServerPolicy::kNone &&
+      (server.capacity.is_zero() || server.period.is_zero())) {
+    errors.push_back("server needs a positive capacity and period");
+  }
+  for (const auto& t : config.spec.periodic_tasks) {
+    if (t.period.is_zero() || t.cost.is_zero()) {
+      errors.push_back("task '" + t.name +
+                       "' needs a positive period and cost");
+    }
+  }
+  for (const auto& j : config.spec.aperiodic_jobs) {
+    if (j.cost.is_zero()) {
+      errors.push_back("job '" + j.name + "' needs a positive cost");
+    }
+  }
+
+  // Channel semantics: fires targets must resolve, and the channel roles
+  // must be consistent (routing is by job name, so names must be unique).
+  std::set<std::string> names;
+  for (const auto& j : config.spec.aperiodic_jobs) {
+    if (!names.insert(j.name).second) {
+      errors.push_back("duplicate job name '" + j.name + "'");
+    }
+  }
+  const bool has_channel_jobs = config.spec.uses_channels();
+  if (has_channel_jobs &&
+      config.spec.server.policy == model::ServerPolicy::kNone) {
+    errors.push_back(
+        "fires/triggered/migrate jobs need an aperiodic server");
+  }
+  for (const auto& j : config.spec.aperiodic_jobs) {
+    if (!j.fires.empty()) {
+      if (j.fires == j.name) {
+        errors.push_back("job '" + j.name + "' cannot fire itself");
+      } else if (names.find(j.fires) == names.end()) {
+        errors.push_back("job '" + j.name + "' fires unknown job '" +
+                         j.fires + "'");
+      }
+    }
+    if (j.migrate && j.triggered) {
+      errors.push_back("job '" + j.name +
+                       "' cannot be both migrate and triggered");
+    }
+    if (j.migrate && j.affinity >= 0) {
+      errors.push_back("job '" + j.name +
+                       "' cannot both migrate and pin an affinity");
+    }
+  }
+  return errors;
+}
+
+std::vector<std::string> set_run_key(CliConfig* config, const std::string& key,
+                                     const std::string& value) {
+  Parser parser;
+  parser.out.config = std::move(*config);
+  parser.run_key(0, key, value);
+  *config = std::move(parser.out.config);
+  return std::move(parser.out.errors);
+}
 
 ParseOutcome parse_spec(const std::string& content) {
   Parser parser;
@@ -623,6 +639,9 @@ ParseOutcome parse_spec(const std::string& content) {
                      trim(line.substr(eq + 1)));
   }
   parser.finish();
+  for (auto& error : validate(parser.out.config)) {
+    parser.out.errors.push_back(std::move(error));
+  }
   return std::move(parser.out);
 }
 

@@ -101,9 +101,23 @@ struct ParseOutcome {
   bool ok() const { return errors.empty(); }
 };
 
-// Parses the spec-file text. All errors are collected (with line numbers),
-// not just the first.
+// Parses the spec-file text and validates the result. All errors are
+// collected (with line numbers where a line is at fault), not just the
+// first.
 ParseOutcome parse_spec(const std::string& content);
+
+// The cross-key checks of a complete config: a threads backend, a batch
+// limit or an overload policy needs the execution engine, multi-core
+// features need cores > 1, pins must name a core, channel jobs must
+// resolve. parse_spec runs them; a caller that changes the config after
+// parsing (tsf_run's flags) runs them again. Empty when the config is valid.
+std::vector<std::string> validate(const CliConfig& config);
+
+// Applies one [run] key with the parser's own value checks: the flag form
+// of a spec key (tsf_run --mode, --backend, --batch). Returns the value's
+// errors, empty on success; run validate() once every key is applied.
+std::vector<std::string> set_run_key(CliConfig* config, const std::string& key,
+                                     const std::string& value);
 
 // Reads and parses a file; a read failure becomes a parse error.
 ParseOutcome load_spec_file(const std::string& path);

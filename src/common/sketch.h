@@ -4,10 +4,10 @@
 // guarantees every reported quantile is within relative error `a` of the
 // exact nearest-rank sample. Bucket counts are integers, so merging two
 // sketches with the same gamma is exact addition — the merged sketch is
-// bit-identical whether samples were added to one sketch or sharded across
-// many and merged in any order. That is the property the shard harness
-// needs: per-worker response-time distributions pool exactly for any
-// --jobs N, where a sampling reservoir could not.
+// bit-identical whether samples were added to one sketch or split across
+// many and merged in any order. tsf_tables relies on it to pool the
+// per-cell response distributions into exact table-level quantiles, where
+// a sampling reservoir could not.
 //
 // Values below kMinValue (including zero; responses are never negative
 // here) land in a dedicated zero bucket and report as 0.0.
@@ -18,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
-#include <string_view>
 
 namespace tsf::common {
 
@@ -48,13 +46,6 @@ class LogSketch {
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
-
-  // Deterministic single-line text form for the shard result pipe:
-  //   "sketch <alpha-hexfloat> <zero-count> <n> <idx>:<count> ..."
-  // with buckets in ascending index order. Exact round trip via decode.
-  TSF_DETERMINISM_CRITICAL
-  std::string encode() const;
-  static bool decode(std::string_view text, LogSketch* out);
 
   const std::map<std::int32_t, std::uint64_t>& buckets() const {
     return buckets_;

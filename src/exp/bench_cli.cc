@@ -35,13 +35,6 @@ bool BenchCli::consume(int argc, char** argv, int* i) {
     json_path = v;
     return true;
   }
-  if ((flags_ & kShard) != 0 && std::strcmp(arg, "--jobs") == 0) {
-    return count("--jobs", 1, 1024, &shard.jobs);
-  }
-  if ((flags_ & kShard) != 0 && std::strcmp(arg, "--in-process") == 0) {
-    shard.in_process = true;
-    return true;
-  }
   if ((flags_ & kBatch) != 0 && std::strcmp(arg, "--batch") == 0) {
     return count("--batch", 1, 1 << 20, &batch);
   }
@@ -53,7 +46,6 @@ int BenchCli::fail(const char* prog, const char* extra_usage) const {
   if (!error_.empty()) std::fprintf(stderr, "%s\n", error_.c_str());
   std::string usage = std::string("usage: ") + prog;
   if ((flags_ & kJson) != 0) usage += " [--json FILE]";
-  if ((flags_ & kShard) != 0) usage += " [--jobs N] [--in-process]";
   if ((flags_ & kBatch) != 0) usage += " [--batch N]";
   usage += extra_usage;
   std::fprintf(stderr, "%s\n", usage.c_str());

@@ -1,14 +1,13 @@
 // Shared flag vocabulary of the bench/tool mains.
 //
-// Every bench used to hand-roll the same three argv loops: --json FILE
-// (tsf-bench/1 emission for the CI regression gate), --jobs N /
-// --in-process (the sharded experiment harness, exp/shard.h) and --batch N
+// Every bench used to hand-roll the same argv loops: --json FILE
+// (tsf-bench/1 emission for the CI regression gate) and --batch N
 // (dispatch batching on the exec engines). Each main declares which groups
 // it understands; consume() recognizes exactly those, and the usage/error
 // reporting is one code path for every bench instead of a copy per main.
 //
 // Usage:
-//     exp::BenchCli cli(exp::BenchCli::kJson | exp::BenchCli::kShard);
+//     exp::BenchCli cli(exp::BenchCli::kJson);
 //     for (int i = 1; i < argc; ++i) {
 //       if (!cli.consume(argc, argv, &i)) return cli.fail("bench_foo");
 //     }
@@ -19,16 +18,13 @@
 
 #include <string>
 
-#include "exp/shard.h"
-
 namespace tsf::exp {
 
 class BenchCli {
  public:
   enum Flags : unsigned {
     kJson = 1u << 0,   // --json FILE
-    kShard = 1u << 1,  // --jobs N, --in-process
-    kBatch = 1u << 2,  // --batch N
+    kBatch = 1u << 1,  // --batch N
   };
 
   explicit BenchCli(unsigned flags) : flags_(flags) {}
@@ -43,7 +39,6 @@ class BenchCli {
   // `extra_usage` appends bench-specific flags to the usage line.
   int fail(const char* prog, const char* extra_usage = "") const;
 
-  ShardOptions shard;
   std::string json_path;
   int batch = 1;
 

@@ -39,8 +39,8 @@ struct SetMetrics {
   double p95_response_tu = 0.0;
   double p99_response_tu = 0.0;
   // Mergeable distribution of every served response in the set. Integer
-  // bucket counts merge exactly, which is what lets the shard harness pool
-  // per-worker cells into quantiles byte-identical for any --jobs N.
+  // bucket counts merge exactly, so tsf_tables pools the cells of a table
+  // into exact table-level quantiles.
   common::LogSketch response_sketch;
   std::size_t systems = 0;
   std::size_t total_jobs = 0;

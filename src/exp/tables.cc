@@ -1,11 +1,10 @@
 #include "exp/tables.h"
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 
-#include "common/diag.h"
 #include "common/table.h"
-#include "exp/shard.h"
 #include "sim/simulator.h"
 
 namespace tsf::exp {
@@ -34,15 +33,100 @@ gen::GeneratorParams paper_generator_params(const PaperSet& set,
   return p;
 }
 
-SetMetrics run_set(const gen::GeneratorParams& params, Mode mode,
-                   const ExecOptions& exec_options) {
-  gen::RandomSystemGenerator generator(params);
-  std::vector<model::RunResult> runs;
-  for (const auto& spec : generator.generate()) {
-    runs.push_back(mode == Mode::kSimulation ? sim::simulate(spec)
-                                             : run_exec(spec, exec_options));
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void mix_bytes(std::uint64_t* h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    *h ^= p[i];
+    *h *= kFnvPrime;
   }
-  return compute_set_metrics(runs);
+}
+
+void mix_string(std::uint64_t* h, const std::string& s) {
+  const std::size_t n = s.size();
+  mix_bytes(h, &n, sizeof n);
+  mix_bytes(h, s.data(), s.size());
+}
+
+void mix_i64(std::uint64_t* h, std::int64_t v) { mix_bytes(h, &v, sizeof v); }
+
+void mix_double(std::uint64_t* h, double v) { mix_bytes(h, &v, sizeof v); }
+
+}  // namespace
+
+std::uint64_t digest_spec(const model::SystemSpec& spec) {
+  std::uint64_t h = kFnvOffset;
+  mix_string(&h, spec.name);
+  mix_i64(&h, spec.cores);
+  mix_i64(&h, spec.horizon.ticks());
+  mix_i64(&h, spec.channel_latency.count());
+  mix_i64(&h, static_cast<std::int64_t>(spec.server.policy));
+  mix_i64(&h, spec.server.capacity.count());
+  mix_i64(&h, spec.server.period.count());
+  mix_i64(&h, spec.server.priority);
+  mix_i64(&h, static_cast<std::int64_t>(spec.server.queue));
+  mix_i64(&h, spec.server.strict_capacity ? 1 : 0);
+  mix_i64(&h, spec.server.admission_margin.count());
+  for (const auto& t : spec.periodic_tasks) {
+    mix_string(&h, t.name);
+    mix_i64(&h, t.period.count());
+    mix_i64(&h, t.cost.count());
+    mix_i64(&h, t.deadline.count());
+    mix_i64(&h, t.start.ticks());
+    mix_i64(&h, t.priority);
+    mix_i64(&h, t.affinity);
+  }
+  for (const auto& j : spec.aperiodic_jobs) {
+    mix_string(&h, j.name);
+    mix_i64(&h, j.release.ticks());
+    mix_i64(&h, j.cost.count());
+    mix_i64(&h, j.declared_cost.count());
+    mix_i64(&h, j.relative_deadline.count());
+    mix_double(&h, j.value);
+    mix_i64(&h, j.affinity);
+    mix_string(&h, j.fires);
+    mix_i64(&h, j.triggered ? 1 : 0);
+    mix_i64(&h, j.migrate ? 1 : 0);
+  }
+  return h;
+}
+
+CellResult run_cell(const WorkUnit& unit) {
+  using clock = std::chrono::steady_clock;
+
+  // Generation is hoisted out of the timed region: materialize (and, when
+  // asked, re-margin) every system first, so run_seconds measures runs.
+  const auto gen_start = clock::now();
+  std::vector<model::SystemSpec> specs =
+      gen::RandomSystemGenerator(unit.params).generate();
+  CellResult out;
+  std::uint64_t digest = kFnvOffset;
+  for (auto& spec : specs) {
+    if (unit.admission_margin) {
+      spec.server.admission_margin = *unit.admission_margin;
+    }
+    const std::uint64_t d = digest_spec(spec);
+    mix_bytes(&digest, &d, sizeof d);
+  }
+  out.spec_digest = digest;
+  const auto run_start = clock::now();
+
+  std::vector<model::RunResult> runs;
+  runs.reserve(specs.size());
+  for (const auto& spec : specs) {
+    runs.push_back(unit.mode == Mode::kSimulation
+                       ? sim::simulate(spec)
+                       : run_exec(spec, unit.exec_options));
+  }
+  out.metrics = compute_set_metrics(runs);
+  const auto run_end = clock::now();
+  out.gen_seconds = std::chrono::duration<double>(run_start - gen_start).count();
+  out.run_seconds = std::chrono::duration<double>(run_end - run_start).count();
+  return out;
 }
 
 std::vector<WorkUnit> paper_table_units(const std::string& table_id,
@@ -66,12 +150,6 @@ std::vector<WorkUnit> paper_table_units(const std::string& table_id,
 
 PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
                            const ExecOptions& exec_options) {
-  return run_paper_table(policy, mode, exec_options, ShardOptions{});
-}
-
-PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
-                           const ExecOptions& exec_options,
-                           const ShardOptions& shard) {
   PaperTable table;
   std::ostringstream title;
   title << "Measures on " << model::to_string(policy) << " server "
@@ -79,13 +157,8 @@ PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
   table.title = title.str();
   const auto units =
       paper_table_units(model::to_string(policy), policy, mode, exec_options);
-  const ShardOutcome outcome = run_units(units, shard);
-  TSF_ASSERT(outcome.ok, "paper table harness failed: " << outcome.error);
   for (std::size_t i = 0; i < table.cells.size(); ++i) {
-    table.cells[i] = outcome.cells[i].metrics;
-    table.spec_digests[i] = outcome.cells[i].spec_digest;
-    table.gen_seconds += outcome.cells[i].gen_seconds;
-    table.run_seconds += outcome.cells[i].run_seconds;
+    table.cells[i] = run_cell(units[i]).metrics;
   }
   return table;
 }

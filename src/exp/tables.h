@@ -1,10 +1,13 @@
 // Reproduction driver for the paper's Tables 2-5: six parameter sets
 // (taskDensity, stdDeviation) in {1,2,3} x {0,2}, ten systems each,
-// seed 1983, ten server periods — under one policy and one mode.
+// seed 1983, ten server periods — under one policy and one mode. Each set
+// is one experiment cell (WorkUnit, run_cell); the ablation benches build
+// their grids from the same cells.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -36,41 +39,51 @@ std::array<PaperSet, 6> paper_sets();
 gen::GeneratorParams paper_generator_params(const PaperSet& set,
                                             model::ServerPolicy policy);
 
-// Runs one set and computes its metrics.
-SetMetrics run_set(const gen::GeneratorParams& params, Mode mode,
-                   const ExecOptions& exec_options = {});
+// One independent cell of an experiment grid: one parameter set under one
+// policy and mode. The paper's tables and the ablation grids are lists of
+// cells run one after another with run_cell.
+struct WorkUnit {
+  // Names the cell, e.g. "table2/(1,0)".
+  std::string label;
+  gen::GeneratorParams params;
+  Mode mode = Mode::kSimulation;
+  ExecOptions exec_options;
+  // When set, applied to every generated spec before the run (the §7
+  // interruption-avoidance margin the ablation sweeps).
+  std::optional<common::Duration> admission_margin;
+};
 
-struct WorkUnit;      // exp/shard.h — one cell of an experiment grid
-struct ShardOptions;  // exp/shard.h — worker-process fan-out knobs
+struct CellResult {
+  SetMetrics metrics;
+  // FNV-1a over every generated spec (names, releases, costs, server,
+  // tasks): equal digests mean equal workloads.
+  std::uint64_t spec_digest = 0;
+  // Untimed-vs-timed split: generating the systems vs running them.
+  double gen_seconds = 0.0;
+  double run_seconds = 0.0;
+};
+
+// Deterministic digest of one spec's workload-defining fields.
+std::uint64_t digest_spec(const model::SystemSpec& spec);
+
+// Runs one cell: generate (untimed), run, measure.
+CellResult run_cell(const WorkUnit& unit);
 
 // Runs all six sets and renders the table in the paper's layout (AART/AIR/
 // ASR rows; two banks of three columns).
 struct PaperTable {
   std::string title;
   std::array<SetMetrics, 6> cells;
-  // Per-cell digest of the generated systems (exp::digest_spec over the
-  // cell's ten specs): identical digests across worker counts prove the
-  // shards ran the same workloads.
-  std::array<std::uint64_t, 6> spec_digests{};
-  // Harness timing split: generating systems vs running them, summed over
-  // the cells (wall-clock; never part of the machine-readable output).
-  double gen_seconds = 0.0;
-  double run_seconds = 0.0;
 };
 
-// The table's six cells as harness work units, labelled "<id>/(d,sd)".
+// The table's six cells as work units, labelled "<id>/(d,sd)".
 std::vector<WorkUnit> paper_table_units(const std::string& table_id,
                                         model::ServerPolicy policy, Mode mode,
                                         const ExecOptions& exec_options = {});
 
-// Runs the six cells through the sharded harness (serially in-process by
-// default) and assembles the table. Panics on a harness failure — a worker
-// crash names the cell.
+// Runs the six cells and assembles the table.
 PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
                            const ExecOptions& exec_options = {});
-PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
-                           const ExecOptions& exec_options,
-                           const ShardOptions& shard);
 std::string format_paper_table(const PaperTable& table);
 
 }  // namespace tsf::exp

@@ -1,6 +1,7 @@
 // common/json_writer + common/json_reader: escaping, deterministic number
 // formatting, document structure, and write → parse round-trips — the
-// properties the sharded harness's byte-identical-JSON promise rests on.
+// properties the byte-identical JSON documents (tsf_tables, tsf-metrics/1)
+// rest on.
 #include <cmath>
 #include <cstdlib>
 

@@ -1,5 +1,5 @@
-// Mergeable log-bucket quantile sketch: accuracy bound, exact sharded
-// merge, and the pipe-protocol text round trip.
+// Mergeable log-bucket quantile sketch: accuracy bound and exact split
+// merge.
 #include "common/sketch.h"
 
 #include <gtest/gtest.h>
@@ -55,25 +55,7 @@ TEST(LogSketch, ShardedMergeIsBitIdenticalToSerial) {
     pooled.merge(parts[static_cast<std::size_t>(p)]);
   }
   EXPECT_TRUE(pooled == whole);
-  EXPECT_EQ(pooled.encode(), whole.encode());
   EXPECT_EQ(pooled.p99(), whole.p99());  // bitwise, not approximate
-}
-
-TEST(LogSketch, EncodeDecodeRoundTrip) {
-  LogSketch sketch(0.02);
-  sketch.add(0.0);    // zero bucket
-  sketch.add(1e-12);  // below kMinValue -> zero bucket too
-  sketch.add(3.5);
-  sketch.add(700.25);
-  LogSketch back;
-  ASSERT_TRUE(LogSketch::decode(sketch.encode(), &back));
-  EXPECT_TRUE(back == sketch);
-  EXPECT_EQ(back.zero_count(), 2u);
-  EXPECT_EQ(back.count(), 4u);
-
-  LogSketch empty(0.01), empty_back;
-  ASSERT_TRUE(LogSketch::decode(empty.encode(), &empty_back));
-  EXPECT_TRUE(empty_back == empty);
 }
 
 TEST(LogSketch, ZeroValuesReportZero) {
@@ -88,20 +70,6 @@ TEST(LogSketch, EmptyQuantileIsZero) {
   const LogSketch sketch;
   EXPECT_TRUE(sketch.empty());
   EXPECT_EQ(sketch.p99(), 0.0);
-}
-
-TEST(LogSketch, DecodeRejectsMalformed) {
-  LogSketch out;
-  EXPECT_FALSE(LogSketch::decode("", &out));
-  EXPECT_FALSE(LogSketch::decode("not a sketch", &out));
-  // Bucket counts disagreeing with the recorded total must not decode.
-  LogSketch sketch(0.01);
-  sketch.add(2.0);
-  std::string text = sketch.encode();
-  const auto colon = text.rfind(':');
-  ASSERT_NE(colon, std::string::npos);
-  text.replace(colon + 1, std::string::npos, "3");
-  EXPECT_FALSE(LogSketch::decode(text, &out));
 }
 
 }  // namespace

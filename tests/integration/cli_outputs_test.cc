@@ -1,13 +1,16 @@
 // The output files of `tsf_run` (--trace, --vcd, --metrics-json): every
 // requested file is written in every mode on one core and on many, and a
 // file that cannot be written fails the run with exit status 1 and the
-// message on stderr instead of a silent exit 0.
+// message on stderr instead of a silent exit 0. The --mode, --backend and
+// --batch flags go through the spec parser's checks: a request the same
+// spec key would be refused for fails the run instead of being ignored.
 #include <stdlib.h>
 #include <sys/wait.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +126,77 @@ TEST(CliOutputs, UnwritableOutputFileExitsOne) {
       EXPECT_EQ(slurp(err), "error: cannot write " + blocker + "/x\n");
       EXPECT_EQ(slurp(out), "");
     }
+  }
+}
+
+// Runs `tsf_run <args>`, returns its exit status and stderr.
+std::pair<int, std::string> run_tsf_run(const std::string& dir,
+                                        const std::string& args) {
+  const std::string out = dir + "/stdout.txt";
+  const std::string err = dir + "/stderr.txt";
+  const std::string command =
+      std::string(TSF_RUN_EXE) + " " + args + " > " + out + " 2> " + err;
+  const int status = std::system(command.c_str());
+  EXPECT_TRUE(WIFEXITED(status));
+  return {WEXITSTATUS(status), slurp(err)};
+}
+
+TEST(CliOutputs, FlagsBreakingASpecRuleAreRefused) {
+  const std::string dir = make_temp_dir();
+  const std::string quad = quad_spec_with_cores(dir, 4);
+  const std::string storm =
+      std::string(TSF_SOURCE_DIR) + "/examples/specs/mp_storm_router.tsf";
+  const struct {
+    std::string args;
+    std::string message;
+  } cases[] = {
+      {quad_spec_with_cores(dir, 1) + " --backend threads",
+       "error: backend = threads needs a multi-core run (cores > 1)\n"},
+      {storm + " --mode sim",
+       "error: overload policies apply to the execution engine (mode = "
+       "exec|both)\n"},
+      {quad + " --mode sim --batch 4",
+       "error: batch applies to the execution engine (mode = exec|both)\n"},
+      {quad + " --mode sim --backend threads",
+       "error: backend = threads applies to the execution engine (mode = "
+       "exec|both)\n"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
+    const auto [status, err] = run_tsf_run(dir, c.args);
+    EXPECT_EQ(status, 1);
+    EXPECT_EQ(err, c.message);
+  }
+  // Each request is fine where the rule holds.
+  for (const std::string& args :
+       {quad + " --backend threads", storm + " --mode exec",
+        quad + " --mode exec --batch 4"}) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(run_tsf_run(dir, args + " --no-gantt").first, 0);
+  }
+}
+
+TEST(CliOutputs, FlagValuesUseTheSpecKeyChecks) {
+  const std::string dir = make_temp_dir();
+  const std::string quad = quad_spec_with_cores(dir, 4);
+  const struct {
+    std::string flags;
+    std::string message;
+  } cases[] = {
+      {"--batch 4x", "error: --batch: expected a number, got '4x'\n"},
+      {"--batch 0",
+       "error: --batch: batch must be at least 1 (1 = per-event dispatch)\n"},
+      {"--batch 2.5", "error: --batch: expected an integer, got '2.5'\n"},
+      {"--mode fast",
+       "error: --mode: unknown mode 'fast' (sim|exec|both)\n"},
+      {"--backend gpu",
+       "error: --backend: unknown backend 'gpu' (lockstep|threads)\n"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.flags);
+    const auto [status, err] = run_tsf_run(dir, quad + " " + c.flags);
+    EXPECT_EQ(status, 2);
+    EXPECT_EQ(err, c.message);
   }
 }
 

@@ -11,6 +11,15 @@
 namespace tsf::exp {
 namespace {
 
+SetMetrics run(const gen::GeneratorParams& params, Mode mode,
+               const ExecOptions& exec_options = {}) {
+  WorkUnit unit;
+  unit.params = params;
+  unit.mode = mode;
+  unit.exec_options = exec_options;
+  return run_cell(unit).metrics;
+}
+
 gen::GeneratorParams reduced(const PaperSet& set, model::ServerPolicy policy) {
   auto p = paper_generator_params(set, policy);
   p.nb_generation = 5;
@@ -20,11 +29,11 @@ gen::GeneratorParams reduced(const PaperSet& set, model::ServerPolicy policy) {
 class PaperShape : public ::testing::Test {
  protected:
   static SetMetrics sim(model::ServerPolicy policy, const PaperSet& set) {
-    return run_set(reduced(set, policy), Mode::kSimulation);
+    return run(reduced(set, policy), Mode::kSimulation);
   }
   static SetMetrics exec(model::ServerPolicy policy, const PaperSet& set) {
-    return run_set(reduced(set, policy), Mode::kExecution,
-                   paper_execution_options());
+    return run(reduced(set, policy), Mode::kExecution,
+               paper_execution_options());
   }
 };
 
@@ -97,9 +106,9 @@ TEST_F(PaperShape, ExecutionInterruptsOnlyUnderHeterogeneousCosts) {
   // full ten systems: the contrast needs the paper's sample size.
   const auto opts = paper_execution_options();
   auto run_air = [&](double density, double sd) {
-    return run_set(paper_generator_params({density, sd},
-                                          model::ServerPolicy::kPolling),
-                   Mode::kExecution, opts)
+    return run(paper_generator_params({density, sd},
+                                      model::ServerPolicy::kPolling),
+               Mode::kExecution, opts)
         .air;
   };
   // Density 1: the contrast is sharpest (paper: 0.01 vs 0.17).
@@ -139,12 +148,26 @@ TEST_F(PaperShape, TableFormatterProducesSixCells) {
   PaperTable table;
   table.title = "smoke";
   for (auto& cell : table.cells) {
-    cell = run_set(params, Mode::kSimulation);
+    cell = run(params, Mode::kSimulation);
   }
   const std::string text = format_paper_table(table);
   EXPECT_NE(text.find("AART"), std::string::npos);
   EXPECT_NE(text.find("(1, 0)"), std::string::npos);
   EXPECT_NE(text.find("(3, 2)"), std::string::npos);
+}
+
+TEST_F(PaperShape, GenerationIsDeterministicPerCell) {
+  WorkUnit unit;
+  unit.params = reduced({1, 0}, model::ServerPolicy::kPolling);
+  const CellResult once = run_cell(unit);
+  const CellResult twice = run_cell(unit);
+  EXPECT_EQ(once.spec_digest, twice.spec_digest);
+  EXPECT_NE(once.spec_digest, 0u);
+
+  // The digest actually depends on the workload.
+  WorkUnit reseeded = unit;
+  reseeded.params.seed = 4242;
+  EXPECT_NE(run_cell(reseeded).spec_digest, once.spec_digest);
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 //                  [--backend lockstep|threads] [--batch N] [--no-gantt]
 //                  [--vcd FILE] [--trace FILE] [--metrics-json FILE]
 // See examples/specs/ for spec files and src/cli/spec_file.h for the format.
-// Exits 1, with the message on stderr, when the spec does not parse, when a
-// requested output file cannot be written, or when the run fails.
-#include <cstdlib>
-#include <cstring>
+// --mode, --backend and --batch are the [run] keys of the same name and go
+// through the same value and cross-key checks. Exits 2 on a bad flag; exits
+// 1, with the message on stderr, when the spec does not parse or the flags
+// break one of its rules, when a requested output file cannot be written,
+// or when the run fails.
 #include <exception>
 #include <iostream>
+#include <string>
 
 #include "cli/report.h"
 #include "cli/spec_file.h"
@@ -24,46 +26,31 @@ int main(int argc, char** argv) {
   }
   auto outcome = tsf::cli::load_spec_file(argv[1]);
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "sim") {
-        outcome.config.mode = tsf::cli::RunMode::kSim;
-      } else if (mode == "exec") {
-        outcome.config.mode = tsf::cli::RunMode::kExec;
-      } else if (mode == "both") {
-        outcome.config.mode = tsf::cli::RunMode::kBoth;
-      } else {
-        std::cerr << "unknown --mode '" << mode << "'\n";
+    const std::string flag = argv[i];
+    if ((flag == "--mode" || flag == "--backend" || flag == "--batch") &&
+        i + 1 < argc) {
+      // The spec key of the same name, with the parser's value checks.
+      const auto errors =
+          tsf::cli::set_run_key(&outcome.config, flag.substr(2), argv[++i]);
+      if (!errors.empty()) {
+        std::cerr << "error: " << flag << ": " << errors.front() << '\n';
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      const auto backend = tsf::mp::parse_exec_backend(argv[++i]);
-      if (!backend.has_value()) {
-        std::cerr << "unknown --backend '" << argv[i] << "'\n";
-        return 2;
-      }
-      outcome.config.backend = *backend;
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      const int batch = std::atoi(argv[++i]);
-      if (batch < 1) {
-        std::cerr << "--batch needs a positive count, got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-      outcome.config.exec_options.batch = batch;
-    } else if (std::strcmp(argv[i], "--no-gantt") == 0) {
+    } else if (flag == "--no-gantt") {
       outcome.config.gantt = false;
-    } else if (std::strcmp(argv[i], "--vcd") == 0 && i + 1 < argc) {
+    } else if (flag == "--vcd" && i + 1 < argc) {
       outcome.config.vcd_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    } else if (flag == "--trace" && i + 1 < argc) {
       outcome.config.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
+    } else if (flag == "--metrics-json" && i + 1 < argc) {
       outcome.config.metrics_json_path = argv[++i];
     } else {
-      std::cerr << "unknown argument '" << argv[i] << "'\n";
+      std::cerr << "unknown argument '" << flag << "'\n";
       return 2;
     }
   }
+  // The flags may have broken a cross-key rule the spec file alone kept.
+  if (outcome.ok()) outcome.errors = tsf::cli::validate(outcome.config);
   if (!outcome.ok()) {
     for (const auto& error : outcome.errors) {
       std::cerr << "error: " << error << '\n';

@@ -1,21 +1,17 @@
-// tsf_tables — sharded reproduction of the paper's Tables 2-5.
+// tsf_tables — reproduction of the paper's Tables 2-5.
 //
-// Decomposes the selected tables into one WorkUnit per (set, policy, mode)
-// cell, fans the cells out over fork()ed workers (--jobs N) and reassembles
-// each table in canonical order, so the text and JSON output are
-// byte-identical to a serial run regardless of worker count.
+// Runs each selected table's six cells (one WorkUnit per set under the
+// table's policy and mode) with exp::run_cell, in table order, and prints
+// the paper-layout text and, optionally, a machine-readable document.
 //
 // Usage:
-//   tsf_tables [--tables 2,3,4,5] [--jobs N] [--json FILE] [--in-process]
-//              [--no-text]
+//   tsf_tables [--tables 2,3,4,5] [--json FILE] [--no-text]
 //
 //   --tables      comma-separated table ids (default: all four)
 //                   2 = Polling Server simulations   3 = PS executions
 //                   4 = Deferrable Server simulations 5 = DS executions
-//   --jobs N      worker processes (default 1 = serial in-process)
 //   --json FILE   also write the versioned machine-readable document
 //                 ("tsf-tables/1"; see README). '-' writes it to stdout.
-//   --in-process  never fork (sanitized builds)
 //   --no-text     suppress the paper-layout text tables
 //
 // Timing (generation vs run, wall-clock) goes to stderr only — the JSON
@@ -31,7 +27,7 @@
 #include "common/json_writer.h"
 #include "common/sketch.h"
 #include "exp/bench_cli.h"
-#include "exp/shard.h"
+#include "exp/tables.h"
 
 namespace {
 
@@ -67,7 +63,7 @@ std::string hex_digest(std::uint64_t d) {
 
 int main(int argc, char** argv) {
   std::vector<int> selected = {2, 3, 4, 5};
-  exp::BenchCli cli(exp::BenchCli::kJson | exp::BenchCli::kShard);
+  exp::BenchCli cli(exp::BenchCli::kJson);
   bool text = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -95,27 +91,7 @@ int main(int argc, char** argv) {
       return cli.fail("tsf_tables", " [--tables 2,3,4,5] [--no-text]");
     }
   }
-  const exp::ShardOptions& shard = cli.shard;
   const std::string& json_path = cli.json_path;
-
-  // One flat unit list across every selected table, so the worker pool
-  // balances sim cells (cheap) against exec cells (expensive).
-  std::vector<exp::WorkUnit> units;
-  for (const int id : selected) {
-    const TableId& t = *find_table(id);
-    const exp::ExecOptions options = t.mode == exp::Mode::kExecution
-                                         ? exp::paper_execution_options()
-                                         : exp::ExecOptions{};
-    auto table_units = exp::paper_table_units("table" + std::to_string(id),
-                                              t.policy, t.mode, options);
-    units.insert(units.end(), table_units.begin(), table_units.end());
-  }
-
-  const exp::ShardOutcome outcome = exp::run_units(units, shard);
-  if (!outcome.ok) {
-    std::cerr << "error: " << outcome.error << '\n';
-    return 1;
-  }
 
   const auto sets = exp::paper_sets();
   // Provenance from the single source of truth (the set-specific density /
@@ -137,8 +113,13 @@ int main(int argc, char** argv) {
   json.key("tables").begin_array();
 
   double gen_seconds = 0.0, run_seconds = 0.0;
-  for (std::size_t t = 0; t < selected.size(); ++t) {
-    const TableId& table = *find_table(selected[t]);
+  for (const int id : selected) {
+    const TableId& table = *find_table(id);
+    const exp::ExecOptions options = table.mode == exp::Mode::kExecution
+                                         ? exp::paper_execution_options()
+                                         : exp::ExecOptions{};
+    const auto units = exp::paper_table_units(
+        "table" + std::to_string(id), table.policy, table.mode, options);
     exp::PaperTable assembled;
     assembled.title = "Measures on " +
                       std::string(model::to_string(table.policy)) +
@@ -150,7 +131,7 @@ int main(int argc, char** argv) {
     json.key("cells").begin_array();
     common::LogSketch pooled;  // exact merge of the per-cell sketches
     for (std::size_t c = 0; c < sets.size(); ++c) {
-      const exp::CellResult& cell = outcome.cells[t * sets.size() + c];
+      const exp::CellResult cell = exp::run_cell(units[c]);
       assembled.cells[c] = cell.metrics;
       pooled.merge(cell.metrics.response_sketch);
       gen_seconds += cell.gen_seconds;
@@ -171,7 +152,7 @@ int main(int argc, char** argv) {
     }
     json.end_array();
     // Table-level response quantiles over every served job of every set,
-    // pooled by exact sketch merge — byte-identical for any --jobs N.
+    // pooled by exact sketch merge.
     json.key("pooled").begin_object();
     json.key("samples").value(static_cast<std::uint64_t>(pooled.count()));
     json.key("p50_response_tu").value(pooled.p50());
@@ -200,6 +181,6 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(stderr, "tsf_tables: %zu cells, generation %.3fs, runs %.3fs\n",
-               units.size(), gen_seconds, run_seconds);
+               selected.size() * sets.size(), gen_seconds, run_seconds);
   return 0;
 }

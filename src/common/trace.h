@@ -86,6 +86,7 @@ class Timeline : public TraceSink {
 
   const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   // Stitches kStart/kResume..kPreempt/kComplete/kAbort into busy windows for
   // one entity. Zero-length windows are dropped.

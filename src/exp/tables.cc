@@ -1,7 +1,6 @@
 #include "exp/tables.h"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 
 #include "common/table.h"
@@ -129,17 +128,12 @@ CellResult run_cell(const WorkUnit& unit) {
   return out;
 }
 
-std::vector<WorkUnit> paper_table_units(const std::string& table_id,
-                                        model::ServerPolicy policy, Mode mode,
+std::vector<WorkUnit> paper_table_units(model::ServerPolicy policy, Mode mode,
                                         const ExecOptions& exec_options) {
   std::vector<WorkUnit> units;
   units.reserve(6);
   for (const auto& set : paper_sets()) {
     WorkUnit unit;
-    char label[64];
-    std::snprintf(label, sizeof label, "%s/(%g,%g)", table_id.c_str(),
-                  set.density, set.std_deviation);
-    unit.label = label;
     unit.params = paper_generator_params(set, policy);
     unit.mode = mode;
     unit.exec_options = exec_options;
@@ -155,8 +149,7 @@ PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
   title << "Measures on " << model::to_string(policy) << " server "
         << to_string(mode) << "s";
   table.title = title.str();
-  const auto units =
-      paper_table_units(model::to_string(policy), policy, mode, exec_options);
+  const auto units = paper_table_units(policy, mode, exec_options);
   for (std::size_t i = 0; i < table.cells.size(); ++i) {
     table.cells[i] = run_cell(units[i]).metrics;
   }

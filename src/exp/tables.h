@@ -43,8 +43,6 @@ gen::GeneratorParams paper_generator_params(const PaperSet& set,
 // policy and mode. The paper's tables and the ablation grids are lists of
 // cells run one after another with run_cell.
 struct WorkUnit {
-  // Names the cell, e.g. "table2/(1,0)".
-  std::string label;
   gen::GeneratorParams params;
   Mode mode = Mode::kSimulation;
   ExecOptions exec_options;
@@ -76,9 +74,8 @@ struct PaperTable {
   std::array<SetMetrics, 6> cells;
 };
 
-// The table's six cells as work units, labelled "<id>/(d,sd)".
-std::vector<WorkUnit> paper_table_units(const std::string& table_id,
-                                        model::ServerPolicy policy, Mode mode,
+// The table's six cells as work units, in paper_sets() order.
+std::vector<WorkUnit> paper_table_units(model::ServerPolicy policy, Mode mode,
                                         const ExecOptions& exec_options = {});
 
 // Runs the six cells and assembles the table.

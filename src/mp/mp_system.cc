@@ -1,9 +1,10 @@
 #include "mp/mp_system.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/diag.h"
@@ -89,15 +90,44 @@ std::vector<model::SystemSpec> split_spec(const model::SystemSpec& spec,
   return out;
 }
 
+namespace {
+
 // How final an outcome is, for the (job, release) dedupe: a served record
 // beats an interrupted or shed one beats an unserved placeholder. A shed
 // outcome is final — the overload policy decided the job's fate, and the
 // record must not be dropped as a shadow of some other core's pending copy.
-static int outcome_rank(const model::JobOutcome& o) {
+int outcome_rank(const model::JobOutcome& o) {
   if (o.served) return 2;
   if (o.interrupted || o.shed) return 1;
   return 0;
 }
+
+constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+// The dedupe key: a job name viewed in place in its per-core outcome, and
+// the release.
+struct JobKey {
+  std::string_view name;
+  TimePoint release;
+  bool operator==(const JobKey&) const = default;
+};
+
+struct JobKeyHash {
+  std::size_t operator()(const JobKey& key) const {
+    const std::size_t h = std::hash<std::string_view>{}(key.name);
+    return h ^ (static_cast<std::size_t>(key.release.ticks()) +
+                0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  }
+};
+
+// Where one (job, release) was booked across cores.
+struct JobSeen {
+  std::size_t completed_on = kNoIndex;  // lowest core with a final outcome
+  bool completed_elsewhere = false;     // ...and a second core has one too
+  std::size_t unserved_on = kNoIndex;   // first core whose unserved one stays
+};
+
+}  // namespace
 
 model::RunResult merge_results(const model::SystemSpec& spec,
                                const Partition& partition,
@@ -116,65 +146,83 @@ model::RunResult merge_results(const model::SystemSpec& spec,
   // unserved record is a shadow — of a completed record on another core
   // (the job was stolen and ran there) or of another core's unserved
   // record (it was stolen and is still pending there) — and is dropped.
-  using Key = std::pair<std::string, common::TimePoint>;
-  std::map<Key, std::set<std::size_t>> completed_cores;
+  // The hash maps below are only looked up, never iterated.
+  std::size_t outcomes = 0;
+  for (const auto& result : per_core) outcomes += result.jobs.size();
+  std::unordered_map<JobKey, JobSeen, JobKeyHash> seen;
+  seen.reserve(outcomes);
   for (std::size_t c = 0; c < per_core.size(); ++c) {
     for (const auto& outcome : per_core[c].jobs) {
-      if (outcome_rank(outcome) > 0) {
-        completed_cores[{outcome.name, outcome.release}].insert(c);
+      if (outcome_rank(outcome) == 0) continue;
+      JobSeen& s = seen[{outcome.name, outcome.release}];
+      if (s.completed_on == kNoIndex) {
+        s.completed_on = c;
+      } else if (s.completed_on != c) {
+        s.completed_elsewhere = true;
       }
-    }
-  }
-  std::vector<const model::JobOutcome*> deduped;  // core, then record order
-  std::map<Key, std::size_t> unserved_kept_on;    // key -> first keeping core
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    for (const auto& outcome : per_core[c].jobs) {
-      const Key key{outcome.name, outcome.release};
-      if (outcome_rank(outcome) > 0) {
-        deduped.push_back(&outcome);
-        continue;
-      }
-      const auto done = completed_cores.find(key);
-      if (done != completed_cores.end() &&
-          (done->second.size() > 1 || *done->second.begin() != c)) {
-        continue;  // shadow of a completion on another core
-      }
-      const auto kept = unserved_kept_on.find(key);
-      if (kept != unserved_kept_on.end() && kept->second != c) {
-        continue;  // shadow of another core's unserved record
-      }
-      unserved_kept_on.emplace(key, c);
-      deduped.push_back(&outcome);
     }
   }
 
-  // Aperiodic outcomes, restored to the original spec order. One name can
-  // carry several outcomes (a triggered job fired repeatedly): the first
-  // release fills the spec-ordered slot, the rest are appended after it in
-  // name order — deterministic, and the released/served counts stay honest.
-  std::map<std::string, std::vector<const model::JobOutcome*>> by_name;
-  for (const auto* outcome : deduped) {
-    by_name[outcome->name].push_back(outcome);
-  }
-  merged.jobs.reserve(spec.aperiodic_jobs.size());
-  for (const auto& job : spec.aperiodic_jobs) {
-    auto it = by_name.find(job.name);
-    if (it != by_name.end() && !it->second.empty()) {
-      merged.jobs.push_back(*it->second.front());
-      it->second.erase(it->second.begin());
-    } else {
-      // Never ran anywhere: a migratable job with no serving core, or a
-      // triggered job nobody fired (or a core that was never built).
-      model::JobOutcome o;
-      o.name = job.name;
-      o.release = job.release;
-      o.cost = job.cost;
-      merged.jobs.push_back(o);
+  // Aperiodic outcomes, restored to the original spec order: the k-th kept
+  // outcome named N (core, then record order) fills the k-th spec slot
+  // named N. The rest (a triggered job fired repeatedly) are appended after
+  // the slots in name order — deterministic, and the released/served counts
+  // stay honest. `open_slot` maps a name to its first unfilled slot, and
+  // `next_slot` chains the slots of one name in spec order.
+  const auto& jobs = spec.aperiodic_jobs;
+  std::unordered_map<std::string_view, std::size_t> open_slot;
+  open_slot.reserve(jobs.size());
+  std::vector<std::size_t> next_slot(jobs.size(), kNoIndex);
+  for (std::size_t s = jobs.size(); s-- > 0;) {
+    const auto [it, fresh] = open_slot.try_emplace(jobs[s].name, s);
+    if (!fresh) {
+      next_slot[s] = it->second;
+      it->second = s;
     }
   }
-  for (const auto& [name, extras] : by_name) {
-    for (const auto* outcome : extras) merged.jobs.push_back(*outcome);
+  std::vector<const model::JobOutcome*> slots(jobs.size(), nullptr);
+  std::vector<const model::JobOutcome*> extras;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    for (const auto& outcome : per_core[c].jobs) {
+      if (outcome_rank(outcome) == 0) {
+        JobSeen& s = seen[{outcome.name, outcome.release}];
+        if (s.completed_on != kNoIndex &&
+            (s.completed_elsewhere || s.completed_on != c)) {
+          continue;  // shadow of a completion on another core
+        }
+        if (s.unserved_on != kNoIndex && s.unserved_on != c) {
+          continue;  // shadow of another core's unserved record
+        }
+        s.unserved_on = c;
+      }
+      const auto open = open_slot.find(outcome.name);
+      if (open != open_slot.end() && open->second != kNoIndex) {
+        slots[open->second] = &outcome;
+        open->second = next_slot[open->second];
+      } else {
+        extras.push_back(&outcome);
+      }
+    }
   }
+  merged.jobs.reserve(jobs.size() + extras.size());
+  for (std::size_t s = 0; s < jobs.size(); ++s) {
+    if (slots[s] != nullptr) {
+      merged.jobs.push_back(*slots[s]);
+      continue;
+    }
+    // Never ran anywhere: a migratable job with no serving core, or a
+    // triggered job nobody fired (or a core that was never built).
+    model::JobOutcome o;
+    o.name = jobs[s].name;
+    o.release = jobs[s].release;
+    o.cost = jobs[s].cost;
+    merged.jobs.push_back(o);
+  }
+  std::stable_sort(extras.begin(), extras.end(),
+                   [](const model::JobOutcome* a, const model::JobOutcome* b) {
+                     return a->name < b->name;
+                   });
+  for (const auto* outcome : extras) merged.jobs.push_back(*outcome);
 
   // Periodic outcomes: stable order — by release, then core, then record
   // order (std::stable_sort over the concatenation in core order).
@@ -189,22 +237,56 @@ model::RunResult merge_results(const model::SystemSpec& spec,
                      return a.release < b.release;
                    });
 
-  // Timelines: namespace entities per core, then stably merge by instant so
-  // simultaneous records keep core order — fully deterministic.
-  std::vector<common::TraceRecord> records;
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    const std::string prefix = "c" + std::to_string(c) + "/";
-    for (const auto& r : per_core[c].timeline.records()) {
-      records.push_back(r);
-      records.back().who = prefix + r.who;
-    }
+  // Timelines: a k-way merge by instant, simultaneous records in core
+  // order — exactly the stable sort of the core-ordered concatenation,
+  // because every per-core timeline is already non-decreasing in time (the
+  // TraceSink contract, asserted record by record). Each round takes the
+  // core with the earliest head and copies its records, namespaced "c<k>/"
+  // in one reused buffer, until the best other head comes first.
+  std::size_t records = 0;
+  for (const auto& result : per_core) {
+    records += result.timeline.records().size();
   }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const common::TraceRecord& a,
-                      const common::TraceRecord& b) { return a.at < b.at; });
-  for (auto& r : records) {
-    merged.timeline.record(r.at, r.kind, std::move(r.who), r.value,
-                           std::move(r.note));
+  merged.timeline.reserve(records);
+  std::vector<std::size_t> head(per_core.size(), 0);
+  auto head_at = [&](std::size_t c) {
+    return per_core[c].timeline.records()[head[c]].at;
+  };
+  std::string who;
+  for (;;) {
+    std::size_t best = kNoIndex;
+    std::size_t runner = kNoIndex;  // the earliest head among the others
+    for (std::size_t c = 0; c < per_core.size(); ++c) {
+      if (head[c] == per_core[c].timeline.records().size()) continue;
+      if (best == kNoIndex || head_at(c) < head_at(best)) {
+        runner = best;
+        best = c;
+      } else if (runner == kNoIndex || head_at(c) < head_at(runner)) {
+        runner = c;
+      }
+    }
+    if (best == kNoIndex) break;
+    const auto& core_records = per_core[best].timeline.records();
+    const TimePoint bound =
+        runner == kNoIndex ? TimePoint::never() : head_at(runner);
+    // Ties go to the lower core; with no runner every record is taken.
+    const bool take_ties = runner == kNoIndex || best < runner;
+    who = "c" + std::to_string(best) + "/";
+    const std::size_t prefix = who.size();
+    std::size_t& i = head[best];
+    do {
+      const common::TraceRecord& r = core_records[i];
+      TSF_ASSERT(i == 0 || core_records[i - 1].at <= r.at,
+                 "core " << best << " timeline goes back in time at record "
+                         << i << ": " << r.at << " after "
+                         << core_records[i - 1].at);
+      who.resize(prefix);
+      who += r.who;
+      merged.timeline.record(r.at, r.kind, who, r.value, r.note);
+      ++i;
+    } while (i < core_records.size() &&
+             (core_records[i].at < bound ||
+              (take_ties && core_records[i].at == bound)));
   }
 
   // The shed/takeover ledger: concatenated in core order (each core's

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/partitioned.h"
+#include "common/annotations.h"
 #include "common/metrics_registry.h"
 #include "common/time.h"
 #include "common/trace_sink.h"
@@ -108,14 +109,19 @@ std::vector<model::SystemSpec> split_spec(
 bool pool_scheduled(const model::AperiodicJobSpec& job);
 
 // Merges per-core results: aperiodic outcomes in original spec order,
-// periodic outcomes sorted by (release, task), timelines concatenated with
-// "c<k>/" entity prefixes and stably merged by time, counters summed.
+// periodic outcomes sorted by release (simultaneous releases in core
+// order, then record order), shed events concatenated in core order,
+// counters summed. The timelines are k-way merged by instant with "c<k>/"
+// entity prefixes, simultaneous records in core order: each per-core
+// timeline must already be non-decreasing in time — the TraceSink order
+// contract of common/trace.h — and the merge asserts it record by record.
 //
 // Outcomes are NOT per-core-disjoint once jobs move at run time: a stolen
 // job completes on a non-home core while the home core still books the
 // same (job, release) as unserved pending work it lost. The merge
 // deduplicates by (job, release), keeping the most-final outcome
-// (served > interrupted > unserved; ties to the lowest core).
+// (served > interrupted = shed > unserved; ties to the lowest core).
+TSF_DETERMINISM_CRITICAL
 model::RunResult merge_results(const model::SystemSpec& spec,
                                const Partition& partition,
                                const std::vector<model::RunResult>& per_core);

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "analysis/rta.h"
 #include "common/trace.h"
 #include "gen/generator.h"
+#include "gen/storms.h"
 #include "sim/simulator.h"
 
 namespace tsf::mp {
@@ -233,6 +238,354 @@ TEST(MergeResults, KeepsRepeatedCompletionsButCollapsesShadows) {
     EXPECT_TRUE(merged.jobs[0].served);
     EXPECT_FALSE(merged.jobs[1].served);
   }
+}
+
+// The merge as it was written before the k-way timeline merge and the
+// hashed job ledger: concatenate the per-core records with "c<k>/" prefixes
+// and stable_sort them by instant; dedupe (job, release) through tree maps
+// that own copies of every name. merge_results must reproduce it exactly.
+model::RunResult reference_merge(
+    const model::SystemSpec& spec,
+    const std::vector<model::RunResult>& per_core) {
+  auto rank = [](const model::JobOutcome& o) {
+    return o.served ? 2 : (o.interrupted || o.shed) ? 1 : 0;
+  };
+  model::RunResult merged;
+  using Key = std::pair<std::string, TimePoint>;
+  std::map<Key, std::set<std::size_t>> completed_cores;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    for (const auto& outcome : per_core[c].jobs) {
+      if (rank(outcome) > 0) {
+        completed_cores[{outcome.name, outcome.release}].insert(c);
+      }
+    }
+  }
+  std::vector<const model::JobOutcome*> deduped;
+  std::map<Key, std::size_t> unserved_kept_on;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    for (const auto& outcome : per_core[c].jobs) {
+      const Key key{outcome.name, outcome.release};
+      if (rank(outcome) > 0) {
+        deduped.push_back(&outcome);
+        continue;
+      }
+      const auto done = completed_cores.find(key);
+      if (done != completed_cores.end() &&
+          (done->second.size() > 1 || *done->second.begin() != c)) {
+        continue;
+      }
+      const auto kept = unserved_kept_on.find(key);
+      if (kept != unserved_kept_on.end() && kept->second != c) continue;
+      unserved_kept_on.emplace(key, c);
+      deduped.push_back(&outcome);
+    }
+  }
+  std::map<std::string, std::vector<const model::JobOutcome*>> by_name;
+  for (const auto* outcome : deduped) by_name[outcome->name].push_back(outcome);
+  for (const auto& job : spec.aperiodic_jobs) {
+    auto it = by_name.find(job.name);
+    if (it != by_name.end() && !it->second.empty()) {
+      merged.jobs.push_back(*it->second.front());
+      it->second.erase(it->second.begin());
+    } else {
+      model::JobOutcome o;
+      o.name = job.name;
+      o.release = job.release;
+      o.cost = job.cost;
+      merged.jobs.push_back(o);
+    }
+  }
+  for (const auto& [name, extras] : by_name) {
+    for (const auto* outcome : extras) merged.jobs.push_back(*outcome);
+  }
+  for (const auto& result : per_core) {
+    merged.periodic_jobs.insert(merged.periodic_jobs.end(),
+                                result.periodic_jobs.begin(),
+                                result.periodic_jobs.end());
+  }
+  std::stable_sort(merged.periodic_jobs.begin(), merged.periodic_jobs.end(),
+                   [](const model::PeriodicOutcome& a,
+                      const model::PeriodicOutcome& b) {
+                     return a.release < b.release;
+                   });
+  std::vector<common::TraceRecord> records;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    const std::string prefix = "c" + std::to_string(c) + "/";
+    for (const auto& r : per_core[c].timeline.records()) {
+      records.push_back(r);
+      records.back().who = prefix + r.who;
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const common::TraceRecord& a,
+                      const common::TraceRecord& b) { return a.at < b.at; });
+  for (auto& r : records) {
+    merged.timeline.record(r.at, r.kind, r.who, r.value, r.note);
+  }
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    for (model::ShedEvent event : per_core[c].shed_events) {
+      event.core = c;
+      merged.shed_events.push_back(std::move(event));
+    }
+  }
+  for (const auto& result : per_core) {
+    merged.server_activations += result.server_activations;
+    merged.server_dispatches += result.server_dispatches;
+  }
+  return merged;
+}
+
+// Field-by-field equality of two whole RunResults.
+void expect_same_result(const model::RunResult& want,
+                        const model::RunResult& got) {
+  auto job = [](const model::JobOutcome& o) {
+    return std::tie(o.name, o.release, o.cost, o.served, o.interrupted,
+                    o.shed, o.start, o.completion);
+  };
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
+    EXPECT_TRUE(job(got.jobs[i]) == job(want.jobs[i]))
+        << "job " << i << ": " << got.jobs[i].name << " vs "
+        << want.jobs[i].name;
+  }
+  auto periodic = [](const model::PeriodicOutcome& o) {
+    return std::tie(o.task, o.release, o.completion, o.deadline_missed);
+  };
+  ASSERT_EQ(got.periodic_jobs.size(), want.periodic_jobs.size());
+  for (std::size_t i = 0; i < want.periodic_jobs.size(); ++i) {
+    EXPECT_TRUE(periodic(got.periodic_jobs[i]) == periodic(want.periodic_jobs[i]))
+        << "periodic outcome " << i;
+  }
+  auto record = [](const common::TraceRecord& r) {
+    return std::tie(r.at, r.kind, r.who, r.value, r.note);
+  };
+  const auto& got_records = got.timeline.records();
+  const auto& want_records = want.timeline.records();
+  ASSERT_EQ(got_records.size(), want_records.size());
+  for (std::size_t i = 0; i < want_records.size(); ++i) {
+    EXPECT_TRUE(record(got_records[i]) == record(want_records[i]))
+        << "record " << i << ": " << got_records[i].who << " vs "
+        << want_records[i].who;
+  }
+  auto shed = [](const model::ShedEvent& e) {
+    return std::tie(e.kind, e.job, e.release, e.at, e.reason, e.core);
+  };
+  ASSERT_EQ(got.shed_events.size(), want.shed_events.size());
+  for (std::size_t i = 0; i < want.shed_events.size(); ++i) {
+    EXPECT_TRUE(shed(got.shed_events[i]) == shed(want.shed_events[i]))
+        << "shed event " << i;
+  }
+  EXPECT_EQ(got.server_activations, want.server_activations);
+  EXPECT_EQ(got.server_dispatches, want.server_dispatches);
+}
+
+Partition bare_partition(std::size_t cores) {
+  Partition partition;
+  partition.cores.resize(cores);
+  return partition;
+}
+
+model::JobOutcome outcome(const std::string& name, std::int64_t release_tu,
+                          bool served) {
+  model::JobOutcome o;
+  o.name = name;
+  o.release = at_tu(release_tu);
+  o.cost = tu(1);
+  o.served = served;
+  if (served) {
+    o.start = at_tu(release_tu + 1);
+    o.completion = at_tu(release_tu + 2);
+  }
+  return o;
+}
+
+// Differential: on real runs of every engine and run-time mover — the
+// simulator, the exec path under the partitioned, semi-partitioned and
+// global policies, drift rebalancing, and shedding storms — the merged
+// result equals the sort-based reference field by field.
+TEST(MergeResults, MatchesReferenceOnGeneratedRuns) {
+  struct Config {
+    const char* name;
+    RunEngine engine;
+    SchedPolicy policy;
+    bool drift;
+  };
+  const Config configs[] = {
+      {"sim", RunEngine::kSim, SchedPolicy::kPartitioned, false},
+      {"partitioned", RunEngine::kExec, SchedPolicy::kPartitioned, false},
+      {"semi", RunEngine::kExec, SchedPolicy::kSemiPartitioned, false},
+      {"global", RunEngine::kExec, SchedPolicy::kGlobal, false},
+      {"drift", RunEngine::kExec, SchedPolicy::kSemiPartitioned, true},
+  };
+  std::uint64_t steals = 0, pool_dispatches = 0, migrations = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    gen::MpGeneratorParams params;
+    params.cores = 4;
+    params.tasks_per_core = 3;
+    params.per_core_utilization = 0.3;
+    params.period_min = tu(5);
+    params.period_max = tu(60);
+    params.task_density = 3.0;
+    params.average_cost_tu = 0.6;
+    params.std_deviation_tu = 0.3;
+    params.horizon_periods = 30;
+    params.seed = seed;
+    const auto spec = gen::generate_mp_system(params);
+    for (const Config& config : configs) {
+      SCOPED_TRACE(std::string(config.name) + " seed " + std::to_string(seed));
+      MpRunOptions options;
+      options.engine = config.engine;
+      options.policy = config.policy;
+      if (config.drift) {
+        options.rebalance.mode = RebalanceMode::kDrift;
+        options.rebalance.period = tu(6);
+      }
+      const auto run = mp::run(spec, options);
+      ASSERT_FALSE(run.merged.timeline.records().empty());
+      expect_same_result(reference_merge(spec, run.per_core), run.merged);
+      steals += run.steals;
+      pool_dispatches += run.pool_dispatches;
+      migrations += run.rebalance_migrations;
+    }
+  }
+  EXPECT_GT(steals, 0u) << "no run moved a job by stealing";
+  EXPECT_GT(pool_dispatches, 0u) << "no run dispatched from the global pool";
+  EXPECT_GT(migrations, 0u) << "no run rebalanced";
+
+  std::size_t sheds = 0;
+  for (const auto shape : {gen::StormShape::kRouterPacketStorm,
+                           gen::StormShape::kMarketOpenBurst,
+                           gen::StormShape::kCascadingFaultBurst}) {
+    SCOPED_TRACE(gen::to_string(shape));
+    gen::StormParams params;
+    params.shape = shape;
+    params.cores = 4;
+    params.horizon_periods = 20;
+    const auto spec = gen::make_storm(params);
+    MpRunOptions options;
+    options.exec.overload.mode = exp::OverloadMode::kShed;
+    const auto run = mp::run(spec, options);
+    expect_same_result(reference_merge(spec, run.per_core), run.merged);
+    sheds += run.merged.shed_events.size();
+  }
+  EXPECT_GT(sheds, 0u) << "no storm shed a job";
+}
+
+// Simultaneous records on several cores come out in core order, each
+// core's own records in record order; a core with an empty timeline and a
+// core that finishes first are both handled.
+TEST(MergeResults, SameInstantRecordsKeepCoreOrder) {
+  model::SystemSpec spec;
+  spec.cores = 4;
+  std::vector<model::RunResult> per_core(4);
+  auto add = [&](std::size_t core, std::int64_t t, const char* who) {
+    per_core[core].timeline.record(at_tu(t), common::TraceKind::kNote, who,
+                                   t, "n");
+  };
+  add(0, 1, "a");
+  add(0, 1, "b");
+  add(0, 3, "c");
+  add(1, 0, "d");
+  add(1, 1, "e");
+  add(1, 2, "f");
+  add(1, 3, "g");
+  add(2, 1, "h");
+  add(2, 3, "i");
+  add(2, 3, "j");
+  const auto merged = merge_results(spec, bare_partition(4), per_core);
+  std::vector<std::string> order;
+  for (const auto& r : merged.timeline.records()) order.push_back(r.who);
+  const std::vector<std::string> expected = {"c1/d", "c0/a", "c0/b", "c1/e",
+                                             "c2/h", "c1/f", "c0/c", "c1/g",
+                                             "c2/i", "c2/j"};
+  EXPECT_EQ(order, expected);
+  expect_same_result(reference_merge(spec, per_core), merged);
+}
+
+// Cross-core shadows against the reference: an unserved record is dropped
+// when another core completed or kept the same (job, release), even next to
+// its own core's completion; shed counts as final; repeated completions and
+// same-core records all stay.
+TEST(MergeResults, CrossCoreShadowsMatchReference) {
+  model::SystemSpec spec;
+  spec.cores = 3;
+  for (const char* name : {"j", "k", "m", "n", "p", "q"}) {
+    model::AperiodicJobSpec job;
+    job.name = name;
+    job.cost = tu(1);
+    spec.aperiodic_jobs.push_back(job);
+  }
+  std::vector<model::RunResult> per_core(3);
+  per_core[0].jobs.push_back(outcome("j", 1, false));
+  per_core[1].jobs.push_back(outcome("j", 1, true));  // stolen and served
+  per_core[2].jobs.push_back(outcome("j", 1, false));
+  per_core[1].jobs.push_back(outcome("k", 2, false));  // kept
+  per_core[2].jobs.push_back(outcome("k", 2, false));  // shadow
+  per_core[0].jobs.push_back(outcome("m", 3, true));
+  per_core[1].jobs.push_back(outcome("m", 3, false));  // shadow
+  per_core[2].jobs.push_back(outcome("m", 3, true));
+  per_core[0].jobs.push_back(outcome("n", 4, false));  // shadow
+  model::JobOutcome shed = outcome("n", 4, false);
+  shed.shed = true;
+  per_core[2].jobs.push_back(shed);
+  per_core[0].jobs.push_back(outcome("p", 5, true));
+  per_core[0].jobs.push_back(outcome("p", 5, false));  // same core: real
+  per_core[0].jobs.push_back(outcome("q", 6, true));
+  per_core[0].jobs.push_back(outcome("q", 6, false));  // shadow of core 1
+  per_core[1].jobs.push_back(outcome("q", 6, true));
+  const auto merged = merge_results(spec, bare_partition(3), per_core);
+  expect_same_result(reference_merge(spec, per_core), merged);
+  // j served, k pending, m twice, n shed, p served + pending, q twice.
+  ASSERT_EQ(merged.jobs.size(), 9u);
+  EXPECT_TRUE(merged.jobs[0].served);
+  EXPECT_FALSE(merged.jobs[1].served);
+  EXPECT_TRUE(merged.jobs[3].shed);
+}
+
+// A re-fired job's extra outcomes follow the spec-ordered slots in name
+// order (each name's extras in core, then record order), whatever order
+// the cores reported them in; a name missing from the spec is an extra too,
+// and a name the spec lists twice fills both of its slots in order.
+TEST(MergeResults, RefiredExtrasStayInNameOrder) {
+  model::SystemSpec spec;
+  spec.cores = 2;
+  for (const char* name : {"z", "a", "never", "z"}) {
+    model::AperiodicJobSpec job;
+    job.name = name;
+    job.release = at_tu(9);
+    job.cost = tu(1);
+    spec.aperiodic_jobs.push_back(job);
+  }
+  std::vector<model::RunResult> per_core(2);
+  per_core[0].jobs.push_back(outcome("z", 1, true));
+  per_core[0].jobs.push_back(outcome("z", 2, true));
+  per_core[0].jobs.push_back(outcome("a", 1, true));
+  per_core[1].jobs.push_back(outcome("z", 5, false));
+  per_core[1].jobs.push_back(outcome("y", 4, true));
+  per_core[1].jobs.push_back(outcome("a", 3, true));
+  const auto merged = merge_results(spec, bare_partition(2), per_core);
+  expect_same_result(reference_merge(spec, per_core), merged);
+  std::vector<std::pair<std::string, TimePoint>> order;
+  for (const auto& o : merged.jobs) order.emplace_back(o.name, o.release);
+  const std::vector<std::pair<std::string, TimePoint>> expected = {
+      {"z", at_tu(1)}, {"a", at_tu(1)}, {"never", at_tu(9)},
+      {"z", at_tu(2)}, {"a", at_tu(3)}, {"y", at_tu(4)},
+      {"z", at_tu(5)}};
+  EXPECT_EQ(order, expected);
+}
+
+// The k-way merge relies on each per-core timeline being non-decreasing in
+// time (the TraceSink contract) and checks it: a core whose records go back
+// in time aborts the merge instead of being silently re-sorted.
+TEST(MergeResultsDeathTest, OutOfOrderCoreTimelineAborts) {
+  model::SystemSpec spec;
+  spec.cores = 2;
+  std::vector<model::RunResult> per_core(2);
+  per_core[0].timeline.record(at_tu(1), common::TraceKind::kNote, "a");
+  per_core[1].timeline.record(at_tu(5), common::TraceKind::kNote, "b");
+  per_core[1].timeline.record(at_tu(3), common::TraceKind::kNote, "c");
+  EXPECT_DEATH(merge_results(spec, bare_partition(2), per_core),
+               "core 1 timeline goes back in time");
 }
 
 // End-to-end: a rebalanced run (drift mode) whose migrated jobs complete on

@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
     const exp::ExecOptions options = table.mode == exp::Mode::kExecution
                                          ? exp::paper_execution_options()
                                          : exp::ExecOptions{};
-    const auto units = exp::paper_table_units(
-        "table" + std::to_string(id), table.policy, table.mode, options);
+    const auto units =
+        exp::paper_table_units(table.policy, table.mode, options);
     exp::PaperTable assembled;
     assembled.title = "Measures on " +
                       std::string(model::to_string(table.policy)) +

@@ -37,7 +37,7 @@
 //     partition = ffd             # ffd|wfd|bfd bin-packing heuristic
 //     policy   = semi             # partitioned|global|semi job scheduling
 //     backend  = threads          # lockstep|threads execution substrate
-//     quantum  = 0.5              # epoch of the multi-core VMs
+//     quantum  = 0.5              # boundary grid of the multi-core VMs
 //     channel_latency = 0.25      # min cross-core message in-flight time
 //     rebalance = drift           # off|drift|admit online load rebalancing
 //     rebalance_drift = 0.25      # measured-vs-packed utilization trigger

@@ -103,8 +103,11 @@ MultiVm::MultiVm(const model::SystemSpec& spec, const Partition& partition,
   const bool global = options.policy == SchedPolicy::kGlobal;
   common::Rng jitter_rng(options.exec.jitter_seed);
   for (const auto& job : spec.aperiodic_jobs) {
+    // A completion that fires can post at any instant.
+    if (!job.fires.empty()) every_boundary_ = true;
     const bool pooled = global && pool_scheduled(job);
     if (!job.migrate && !pooled) continue;
+    every_boundary_ = true;
     exp::MigratedJob m;
     m.name = job.name;
     m.declared_cost = job.effective_declared_cost();
@@ -129,6 +132,10 @@ MultiVm::MultiVm(const model::SystemSpec& spec, const Partition& partition,
   // take over locally.
   if (options.exec.overload.mode == exp::OverloadMode::kShed) {
     governor_.emplace(options.exec.overload, fabric_, spec, partition);
+  }
+  if (options.policy == SchedPolicy::kSemiPartitioned || rebalancer_ ||
+      governor_) {
+    every_boundary_ = true;
   }
 }
 
@@ -205,7 +212,7 @@ void MultiVm::run(TimePoint horizon, Duration quantum) {
 
 void MultiVm::run_inline() {
   while (now_ < horizon_) {
-    const TimePoint next = next_boundary();
+    const TimePoint next = next_boundary(now_);
     for (auto& vm : vms_) vm->run_until(next);
     boundary(next);
   }
@@ -224,7 +231,7 @@ void MultiVm::run_threads() {
       }
       TimePoint now = TimePoint::origin();
       while (now < horizon_) {
-        now = common::min(now + quantum_, horizon_);
+        now = next_boundary(now);
         try {
           vms_[c]->run_until(now);
         } catch (...) {

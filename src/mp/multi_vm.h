@@ -3,11 +3,11 @@
 // Partitioned scheduling has no cross-core preemption, so a multi-core
 // machine is modelled as one deterministic rtsj::vm::VirtualMachine per
 // core, each hosting one exp::ExecSystem (the same lowering run_exec uses).
-// MultiVm drives every core to the same sequence of epoch boundaries
-// (multiples of `quantum`). Within an epoch a core's VM is a closed
-// deterministic world; cross-core effects enter only at boundaries, where
-// one function, boundary(now), runs the whole sequence while every VM is
-// paused:
+// MultiVm drives every core to the same sequence of epoch boundaries: the
+// grid points (multiples of `quantum`, and the horizon) at which a boundary
+// can act. Within an epoch a core's VM is a closed deterministic world;
+// cross-core effects enter only at boundaries, where one function,
+// boundary(now), runs the whole sequence while every VM is paused:
 //
 //   1. staged-fire replay — handlers stage their outbound fires through
 //      their core's port into one MPSC queue (mp/mailbox.h); the boundary
@@ -16,7 +16,23 @@
 //   3. scheduling-policy engine — pool dispatch / work stealing;
 //   4. rebalancer — drift migration / online admission (rebalance != off);
 //   5. overload governor — shedding, the final resort (overload = shed);
-//   6. metrics.
+//   6. metrics, and the next boundary.
+//
+// Which grid points are boundaries (the lookahead rule of conservative
+// parallel discrete-event simulation — a core runs on to the earliest
+// instant at which another could affect it):
+//  * every one, when a boundary can act at any grid point: a job of the
+//    spec `fires` (a completion can post at any instant), a migratable or
+//    global-pool job is registered (it is delivered at the first grid point
+//    >= its due instant), the policy is semi (a steal can follow any
+//    completion), or a Rebalancer or OverloadGovernor is armed (they
+//    sample the LoadMeter at every boundary, so their decisions depend on
+//    the quantum by design);
+//  * otherwise only the horizon: nothing can cross cores, so a fire-free
+//    partitioned run is one epoch.
+// Pauses are invisible to a core's trace, so the rule changes no trace,
+// ledger or outcome; only the count of boundaries ("mp.epochs") and what
+// is observed per boundary.
 //
 // Only the executor that advances the cores between boundaries depends on
 // the backend:
@@ -78,13 +94,16 @@ class MultiVm {
   MultiVm(const MultiVm&) = delete;
   MultiVm& operator=(const MultiVm&) = delete;
 
-  // Starts every core's world and advances it to `horizon` in epochs of
-  // `quantum` (the last one clipped), on the executor options.backend
-  // selects. One-shot. Rethrows the first error a core's world raised.
+  // Starts every core's world and advances it to `horizon` through the
+  // grid points (multiples of `quantum`, the last epoch clipped to the
+  // horizon) at which a boundary can act (see the file comment), on the
+  // executor options.backend selects. One-shot. Rethrows the first error a
+  // core's world raised.
   //
-  // Metrics: "mp.epochs", "mp.epoch.host_seconds" (host time from the end
-  // of the previous boundary, or the run's start, to the start of this
-  // one), "mp.fabric.deliveries", "mp.fabric.drain_size"; under threads
+  // Metrics: "mp.epochs" (boundaries executed), "mp.epoch.host_seconds"
+  // (host time from the end of the previous boundary, or the run's start,
+  // to the start of this one), "mp.fabric.deliveries",
+  // "mp.fabric.drain_size" (one observation per boundary); under threads
   // also the gauges "threads.wall_seconds" and "threads.workers_pinned".
   void run(common::TimePoint horizon,
            common::Duration quantum = common::Duration::time_units(1));
@@ -109,11 +128,15 @@ class MultiVm {
   struct StagedPort;
   struct BoundaryFn {
     MultiVm* machine;
-    void operator()() noexcept { machine->boundary(machine->next_boundary()); }
+    void operator()() noexcept {
+      machine->boundary(machine->next_boundary(machine->now_));
+    }
   };
 
-  common::TimePoint next_boundary() const {
-    return common::min(now_ + quantum_, horizon_);
+  // The boundary after `now`: the next grid point at which a boundary can
+  // act (the rule of the file comment), clipped to the horizon.
+  common::TimePoint next_boundary(common::TimePoint now) const {
+    return every_boundary_ ? common::min(now + quantum_, horizon_) : horizon_;
   }
   void run_inline();
   void run_threads();
@@ -142,6 +165,9 @@ class MultiVm {
   std::vector<std::unique_ptr<rtsj::vm::VirtualMachine>> vms_;
   std::vector<std::unique_ptr<exp::ExecSystem>> systems_;
 
+  // Whether a boundary can act at every grid point (none is elided). Set
+  // by the constructor only.
+  bool every_boundary_ = false;
   // Epoch cursor: the last boundary reached. Threads workers track the
   // identical sequence locally (same arithmetic, same inputs).
   common::TimePoint now_ = common::TimePoint::origin();

@@ -235,7 +235,9 @@ TEST(BackendEquivalence, SubQuantumEpochAndJitter) {
 // takes over), the threads backend must still replay the lock-step oracle
 // bit-for-bit — equal served/missed/shed sets AND equal fingerprints, so a
 // shed decision landing on a different epoch in either backend is a hard
-// failure, not a tolerance-shaped soft one.
+// failure, not a tolerance-shaped soft one. The D-over cells are fire-free
+// and partitioned, so MultiVm elides every boundary but the horizon: they
+// also pin that both backends run an elided schedule alike.
 TEST(BackendEquivalence, OverloadStormShedding) {
   const gen::StormShape shapes[] = {gen::StormShape::kRouterPacketStorm,
                                     gen::StormShape::kMarketOpenBurst,

@@ -1,8 +1,8 @@
 // MultiVm lock-step semantics: advancing N per-core VMs in shared epochs
 // must be observationally identical to running each core's VM on its own,
 // and must be insensitive to the epoch size. The machines here always carry
-// their channel fabric; these specs declare no fires or migrations, so it
-// stays inert.
+// their channel fabric; it stays inert except for roaming_spec()'s one
+// migration.
 #include "mp/multi_vm.h"
 
 #include <gtest/gtest.h>
@@ -117,21 +117,44 @@ model::SystemSpec release_at_completion_spec() {
   return spec;
 }
 
+// A spec whose migratable job is due at t = 10, a grid point of every
+// quantum below: MultiVm keeps every boundary of a run with a migratable,
+// so the quantum loop really pauses the VMs, and the job is delivered at
+// t = 10 whatever the quantum.
+model::SystemSpec roaming_spec() {
+  auto spec = two_core_spec();
+  spec.name = "mv-roaming";
+  model::AperiodicJobSpec job;
+  job.name = "roam";
+  job.release = at_tu(9);
+  job.cost = tu(1);
+  job.migrate = true;
+  spec.aperiodic_jobs.push_back(job);
+  spec.channel_latency = tu(1);
+  return spec;
+}
+
 // Each cell of quanta x backends must give one fingerprint per spec: an
-// epoch boundary is invisible in the trace.
+// epoch boundary is invisible in the trace. The first two specs are
+// fire-free and partitioned, so MultiVm runs them as one epoch at every
+// quantum (the cells then check the backends agree); roaming_spec() is
+// paused at every grid point.
 TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
-  for (const auto& spec : {two_core_spec(), release_at_completion_spec()}) {
+  for (const auto& spec :
+       {two_core_spec(), release_at_completion_spec(), roaming_spec()}) {
     SCOPED_TRACE(spec.name);
     const auto partition = Partitioner().partition(spec);
     ASSERT_TRUE(partition.complete());
-    const Duration whole = spec.horizon - TimePoint::origin();
     std::vector<std::uint64_t> hashes;
     for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
-      for (const auto quantum : {tu(1), tu(5), tu(10), whole}) {
+      for (const auto quantum : {tu(1), tu(2), tu(5), tu(10)}) {
         MpRunOptions options;
         options.backend = backend;
         MultiVm machine(spec, partition, options);
         machine.run(spec.horizon, quantum);
+        const auto& deliveries = machine.fabric().deliveries();
+        EXPECT_EQ(deliveries.size(), spec.name == "mv-roaming" ? 1u : 0u);
+        for (const auto& d : deliveries) EXPECT_EQ(d.delivered, at_tu(10));
         std::uint64_t combined = 0;
         for (auto& result : machine.collect()) {
           combined = combined * 31 + common::fingerprint(result.timeline);
@@ -146,10 +169,11 @@ TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
 }
 
 // A driver pause must not rotate the running fiber behind equal-priority
-// waiters: with two same-priority tasks on one core, lock-step epochs of
-// any size must reproduce the solo run exactly (regression: the freeze
+// waiters: with two same-priority tasks on one core, a VM paused at every
+// time unit must reproduce the solo run exactly (regression: the freeze
 // path used to re-enqueue with a fresh ready_seq_, so every epoch boundary
-// round-robined the two tasks).
+// round-robined the two tasks). MultiVm would run this spec as one epoch,
+// so the test drives the core's VM directly.
 TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
   model::SystemSpec spec;
   spec.name = "eq";
@@ -166,13 +190,15 @@ TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
   spec.horizon = at_tu(20);
 
   const auto solo = exp::run_exec(spec);
-  const auto partition = Partitioner().partition(spec);
-  MultiVm machine(spec, partition, MpRunOptions{});
-  machine.run(spec.horizon, tu(1));  // pause at every single tu
-  const auto lockstep = machine.collect();
-  EXPECT_EQ(common::fingerprint(lockstep[0].timeline),
+  const exp::ExecOptions options;
+  rtsj::vm::VirtualMachine vm(options.kernel);
+  exp::ExecSystem system(vm, spec, options);
+  system.start();
+  for (std::int64_t t = 1; t <= 20; ++t) vm.run_until(at_tu(t));
+  const auto paused = system.collect();
+  EXPECT_EQ(common::fingerprint(paused.timeline),
             common::fingerprint(solo.timeline));
-  EXPECT_EQ(lockstep[0].timeline.busy_intervals("tau0"),
+  EXPECT_EQ(paused.timeline.busy_intervals("tau0"),
             solo.timeline.busy_intervals("tau0"));
 }
 
